@@ -63,7 +63,6 @@ class TThread:
         self.name = name
         self.factory = factory
         self.priority = priority
-        self.base_priority = priority
         self.kind = kind
         self.tid = tid if tid is not None else api.allocate_tid()
         self.state = ThreadState.CREATED

@@ -34,7 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "E_NOSPT",
         "E_RSATR",
         "error_name",
-        "is_error",
     ),
     ".types": (
         "TA_TFIFO",

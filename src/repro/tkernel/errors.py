@@ -78,11 +78,6 @@ def error_name(code: int) -> str:
     return _NAMES.get(code, f"E_UNKNOWN({code})")
 
 
-def is_error(code: int) -> bool:
-    """Whether *code* signals an error (negative return value)."""
-    return code < 0
-
-
 class KernelPanic(RuntimeError):
     """Raised for internal inconsistencies of the simulation model itself.
 

@@ -53,7 +53,7 @@ from repro.tkernel.objects import Refused, WaitEntry, WaitQueue, service, servic
 from repro.tkernel.semaphore import SemaphoreManager
 from repro.tkernel.task import TaskControlBlock, TaskManager
 from repro.tkernel.timemgmt import TimeManager
-from repro.tkernel.types import TMO_FEVR, TMO_POL, TTS_DMT, TTS_SUS, TTS_WAI
+from repro.tkernel.types import TMO_FEVR, TMO_POL, TTS_DMT, TTS_SUS, TTS_WAI, TTW_MTX
 
 #: Signature of the user main entry run by the initial task.
 UserMain = Callable[["TKernelOS"], Generator[object, object, None]]
@@ -330,7 +330,8 @@ class TKernelOS(SCModule):
     # deletion — goes through ``_release_wait``, which records the code and
     # payload and readies the task; ``_wait_here`` then returns that code.
     # A task whose body ends while waiting is released dormant with
-    # ``E_RLWAI``, so it is unlinked but not readied.
+    # ``E_RLWAI``, so it is unlinked but not readied.  A mutex wait queue
+    # that gains or loses a task has its owner's priority recomputed.
     def _wait_here(
         self,
         factor: int,
@@ -339,13 +340,11 @@ class TKernelOS(SCModule):
         queue: Optional[WaitQueue] = None,
         data: Optional[Dict[str, Any]] = None,
         timeout_code: int = E_TMOUT,
-        on_block: Optional[Callable[[], None]] = None,
     ):
         """Block the invoking task until released, timed out or forcibly freed.
 
         Refuses with ``E_TMOUT`` when *tmout* is ``TMO_POL`` and with
-        ``E_CTX`` when no task invokes the service.  Otherwise *on_block*
-        (if given) runs just before the task is queued, and the release
+        ``E_CTX`` when no task invokes the service.  Otherwise the release
         code (``E_OK``, ``E_TMOUT``, ``E_RLWAI``, ``E_DLT`` ...) is
         returned.  The release payload, if any, is left in the task's
         ``last_wait_result``.
@@ -353,8 +352,6 @@ class TKernelOS(SCModule):
         if tmout == TMO_POL:
             raise Refused(E_TMOUT)
         tcb = self.tasks.invoking_tcb()
-        if on_block is not None:
-            on_block()
         entry = WaitEntry(tcb, factor, object_id, data=dict(data or {}), queue=queue)
         tcb.wait_entry = entry
         tcb.wait_factor = factor
@@ -363,6 +360,8 @@ class TKernelOS(SCModule):
         tcb.state |= TTS_WAI
         if queue is not None:
             queue.enqueue(entry)
+        if factor == TTW_MTX:
+            self.mutexes.waiters_changed(object_id)
         if tmout is not None and tmout >= 0:
             entry.timeout_handle = self.time.after_ms(
                 self.simulator.now,
@@ -390,6 +389,8 @@ class TKernelOS(SCModule):
         tcb.wait_object_id = 0
         tcb.last_wait_result = result
         tcb.state &= ~TTS_WAI
+        if entry.factor == TTW_MTX:
+            self.mutexes.waiters_changed(entry.object_id)
         if tcb.state & TTS_SUS or tcb.state & TTS_DMT:
             # Stays suspended (or was terminated while waiting): do not ready it.
             return
@@ -408,7 +409,8 @@ class TKernelOS(SCModule):
     # ------------------------------------------------------------------
     def _on_task_body_finished(self, tcb: TaskControlBlock) -> None:
         """Clean up after a task body returned, exited or was terminated."""
-        self.mutexes.release_all_owned_by(tcb)
+        for mutex in list(tcb.locked_mutexes):
+            self.mutexes.release(mutex, tcb)
         tcb.state = TTS_DMT
         self._release_wait(tcb.wait_entry, E_RLWAI)  # dormant: not readied
         tcb.wupcnt = 0
@@ -424,22 +426,20 @@ class TKernelOS(SCModule):
         tcb.thread.force_terminate()
         tcb.state = TTS_DMT
 
-    def _set_task_priority(self, tcb: TaskControlBlock, priority: int,
-                           base_change: bool = True) -> None:
-        """Change a task's (current) priority and reorder queues accordingly."""
+    def _set_task_priority(self, tcb: TaskControlBlock, priority: int) -> None:
+        """Set a task's current priority and reorder its queues.
+
+        The one writer of a live task's current priority; the value comes
+        from :func:`repro.tkernel.mutex.derived_priority`.  A ready task
+        moves to the tail of its new priority level.
+        """
         assert tcb.thread is not None
         tcb.priority = priority
-        if base_change:
-            tcb.base_priority = priority
         scheduler = self.api.scheduler
-        # Membership via the scheduler's O(1) __contains__ (the thread→level
-        # map), not a ready_threads() materialisation + second removal scan.
-        in_ready_pool = tcb.thread in scheduler
-        if in_ready_pool:
-            scheduler.remove(tcb.thread)
-        tcb.thread.priority = priority
-        if in_ready_pool:
-            scheduler.add_ready(tcb.thread)
+        if tcb.thread in scheduler:
+            scheduler.requeue_for_priority_change(tcb.thread, priority)
+        else:
+            tcb.thread.priority = priority
         if tcb.wait_entry is not None and tcb.wait_entry.queue is not None:
             tcb.wait_entry.queue.reorder_for_priority_change()
         self.api.request_dispatch()

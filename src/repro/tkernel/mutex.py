@@ -1,8 +1,18 @@
-"""Mutexes with priority inheritance / ceiling (tk_cre_mtx, tk_loc_mtx, ...)."""
+"""Mutexes (tk_cre_mtx, tk_loc_mtx, ...) and the rule for a task's current
+priority: µITRON 4.0's strict priority-control rule, which T-Kernel 1.0
+follows.  The current priority is the highest (numerically lowest) of the
+task's base priority, the ceilings of the ``TA_CEILING`` mutexes it holds
+and the current priorities of the tasks waiting on the ``TA_INHERIT``
+mutexes it holds.  :func:`derived_priority` computes it, and
+:meth:`MutexManager.update_priority` applies it along the wait chain at each
+change point: lock, unlock, a waiter leaving without the mutex (timeout,
+``tk_rel_wai`` or ``tk_ter_tsk``, all through ``kernel._release_wait``),
+``tk_del_mtx``, task exit and ``tk_chg_pri``.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.tkernel.errors import E_ILUSE, E_OK, E_PAR
 from repro.tkernel.objects import KernelObject, ObjectTable, Refused, WaitQueue, service
@@ -11,6 +21,7 @@ from repro.tkernel.types import (
     MIN_TASK_PRIORITY,
     TA_CEILING,
     TA_INHERIT,
+    TA_TPRI,
     TMO_FEVR,
     TTW_MTX,
 )
@@ -21,7 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Mutex(KernelObject):
-    """A mutual-exclusion lock owned by at most one task."""
+    """A mutual-exclusion lock owned by at most one task.
+
+    µITRON 4.0 cre_mtx: "If TA_TFIFO (= 0x00) is specified, the mutex's
+    wait queue will be in FIFO order.  If TA_TPRI (= 0x01), TA_INHERIT
+    (= 0x02), or TA_CEILING (= 0x03) is specified, the wait queue will be
+    in task priority order."
+    """
 
     object_type = "mutex"
 
@@ -30,20 +47,26 @@ class Mutex(KernelObject):
         super().__init__(object_id, name, attributes, exinf)
         self.ceiling_priority = ceilpri
         self.owner: "Optional[TaskControlBlock]" = None
-        self.wait_queue = WaitQueue(attributes)
-
-    @property
-    def protocol(self) -> str:
-        """The locking protocol: ``inherit``, ``ceiling`` or ``fifo``."""
-        if self.attributes & TA_CEILING == TA_CEILING:
-            return "ceiling"
-        if self.attributes & TA_INHERIT == TA_INHERIT:
-            return "inherit"
-        return "fifo"
+        self.wait_queue = WaitQueue(TA_TPRI if attributes & (TA_TPRI | TA_INHERIT) else 0)
+        #: The locking protocol: ``inherit``, ``ceiling`` or ``fifo``.
+        self.protocol = ("ceiling" if attributes & TA_CEILING == TA_CEILING
+                         else "inherit" if attributes & TA_INHERIT else "fifo")
 
     def __repr__(self) -> str:
         owner = self.owner.name if self.owner else None
         return f"Mutex(id={self.object_id}, owner={owner!r}, waiting={len(self.wait_queue)})"
+
+
+def derived_priority(tcb: "TaskControlBlock") -> int:
+    """*tcb*'s current priority under the strict rule (module docstring)."""
+    priority = tcb.base_priority
+    for mutex in tcb.locked_mutexes:
+        if mutex.protocol == "ceiling":
+            priority = min(priority, mutex.ceiling_priority)
+        elif mutex.protocol == "inherit" and mutex.wait_queue:
+            # Priority-ordered: the head is the most urgent waiter.
+            priority = min(priority, mutex.wait_queue.peek().priority)
+    return priority
 
 
 class MutexManager:
@@ -53,9 +76,6 @@ class MutexManager:
         self.kernel = kernel
         self.table: ObjectTable[Mutex] = ObjectTable()
 
-    # ------------------------------------------------------------------
-    # Service calls
-    # ------------------------------------------------------------------
     @service
     def tk_cre_mtx(self, name: str = "", mtxatr: int = TA_INHERIT,
                    ceilpri: int = MIN_TASK_PRIORITY, exinf=None):
@@ -70,12 +90,9 @@ class MutexManager:
     def tk_del_mtx(self, mtxid: int):
         """Delete a mutex; waiting tasks are released with E_DLT."""
         mutex = self.table.require(mtxid)
-        if mutex.owner is not None:
-            self._restore_owner_priority(mutex.owner, mutex)
-            mutex.owner.locked_mutexes = [
-                m for m in mutex.owner.locked_mutexes if m is not mutex
-            ]
         self.kernel._release_all_waiters(mutex.wait_queue)
+        if mutex.owner is not None:
+            self.release(mutex, mutex.owner)
         self.table.delete(mtxid)
         return E_OK
 
@@ -90,49 +107,46 @@ class MutexManager:
         tcb = self.kernel.tasks.invoking_tcb()
         if mutex.owner is tcb:
             return E_ILUSE  # recursive locking is not allowed
-        self._check_ceilings(tcb.base_priority, (mutex,))
+        self.check_ceilings(tcb, tcb.base_priority, mutex)
         if mutex.owner is None:
-            self._acquire(mutex, tcb)
+            mutex.owner = tcb
+            tcb.locked_mutexes.append(mutex)
+            self.update_priority(tcb)
             return E_OK
         # On E_OK the releasing task already transferred ownership to us.
         return (yield from self.kernel._wait_here(
-            factor=TTW_MTX,
-            object_id=mtxid,
-            tmout=tmout,
-            queue=mutex.wait_queue,
-            on_block=lambda: self._apply_inheritance(mutex, tcb),
-        ))
+            factor=TTW_MTX, object_id=mtxid, tmout=tmout, queue=mutex.wait_queue))
 
-    @staticmethod
-    def _check_ceilings(priority: int, mutexes: Iterable[Mutex]) -> None:
-        """Refuse with ``E_ILUSE`` if *priority* is higher (numerically
-        lower) than the ceiling of a ``TA_CEILING`` mutex of *mutexes*."""
-        for mutex in mutexes:
-            if mutex.protocol == "ceiling" and priority < mutex.ceiling_priority:
+    def check_ceilings(self, tcb: "TaskControlBlock", priority: int,
+                       locking: Optional[Mutex] = None) -> None:
+        """Refuse (``E_ILUSE``) a base *priority* for *tcb* higher than the
+        ceiling of a ``TA_CEILING`` mutex it holds, waits on or is *locking*."""
+        for mutex in (*tcb.locked_mutexes, self._awaited(tcb), locking):
+            if mutex and mutex.protocol == "ceiling" and priority < mutex.ceiling_priority:
                 raise Refused(E_ILUSE)
 
-    def check_priority_change(self, tcb: "TaskControlBlock", priority: int) -> None:
-        """Refuse (``E_ILUSE``) a base *priority* for *tcb* above the ceiling
-        of a ``TA_CEILING`` mutex it holds or waits on (tk_chg_pri)."""
-        mutexes = list(tcb.locked_mutexes)
-        if tcb.wait_factor == TTW_MTX:
-            waited = self.table.get(tcb.wait_object_id)
-            if waited is not None:
-                mutexes.append(waited)
-        self._check_ceilings(priority, mutexes)
+    def _awaited(self, tcb: "TaskControlBlock") -> Optional[Mutex]:
+        """The mutex *tcb* waits on, if any."""
+        return self.table.get(tcb.wait_object_id) if tcb.wait_factor == TTW_MTX else None
 
-    def _acquire(self, mutex: Mutex, tcb: "TaskControlBlock") -> None:
-        mutex.owner = tcb
-        tcb.locked_mutexes.append(mutex)
-        if mutex.protocol == "ceiling" and tcb.priority > mutex.ceiling_priority:
-            self.kernel._set_task_priority(tcb, mutex.ceiling_priority, base_change=False)
+    def update_priority(self, tcb: "Optional[TaskControlBlock]") -> None:
+        """Apply the rule to *tcb* and, while priorities change, to the owner
+        of the mutex it waits on, and so on.  On a deadlock cycle the walk
+        stops at the first task it has already visited."""
+        visited = set()
+        while tcb is not None and tcb not in visited:
+            visited.add(tcb)
+            priority = derived_priority(tcb)
+            if priority == tcb.priority:
+                return
+            self.kernel._set_task_priority(tcb, priority)
+            mutex = self._awaited(tcb)
+            tcb = mutex.owner if mutex is not None else None
 
-    def _apply_inheritance(self, mutex: Mutex, waiter: "TaskControlBlock") -> None:
-        """Raise a TA_INHERIT mutex's owner to *waiter*'s priority."""
-        owner = mutex.owner
-        if (mutex.protocol == "inherit" and owner is not None
-                and waiter.priority < owner.priority):
-            self.kernel._set_task_priority(owner, waiter.priority, base_change=False)
+    def waiters_changed(self, mtxid: int) -> None:
+        """Apply the rule to the owner of mutex *mtxid*, whose waiters changed."""
+        mutex = self.table.get(mtxid)
+        self.update_priority(mutex.owner if mutex is not None else None)
 
     @service
     def tk_unl_mtx(self, mtxid: int):
@@ -141,36 +155,20 @@ class MutexManager:
         tcb = self.kernel.tasks.invoking_tcb()
         if mutex.owner is not tcb:
             return E_ILUSE
-        self._release(mutex, tcb)
+        self.release(mutex, tcb)
         return E_OK
 
-    def _release(self, mutex: Mutex, owner: "TaskControlBlock") -> None:
-        owner.locked_mutexes = [m for m in owner.locked_mutexes if m is not mutex]
-        self._restore_owner_priority(owner, mutex)
+    def release(self, mutex: Mutex, owner: "TaskControlBlock") -> None:
+        """Unlock *owner*'s *mutex* and hand it to the first waiter, if any."""
+        owner.locked_mutexes.remove(mutex)
         mutex.owner = None
+        self.update_priority(owner)
         next_entry = mutex.wait_queue.pop()
         if next_entry is not None:
-            self._acquire(mutex, next_entry.tcb)
+            mutex.owner = next_entry.tcb
+            next_entry.tcb.locked_mutexes.append(mutex)
+            # Releasing the wait applies the rule to the new owner.
             self.kernel._release_wait(next_entry, E_OK)
-
-    def _restore_owner_priority(self, owner: "TaskControlBlock", released: Mutex) -> None:
-        """Recompute the owner's priority after releasing *released*."""
-        target = owner.base_priority
-        for mutex in owner.locked_mutexes:
-            if mutex is released:
-                continue
-            if mutex.protocol == "ceiling":
-                target = min(target, mutex.ceiling_priority)
-            elif mutex.protocol == "inherit":
-                for entry in mutex.wait_queue:
-                    target = min(target, entry.tcb.priority)
-        if owner.priority != target:
-            self.kernel._set_task_priority(owner, target, base_change=False)
-
-    def release_all_owned_by(self, tcb: "TaskControlBlock") -> None:
-        """Release every mutex owned by *tcb* (task exit / termination)."""
-        for mutex in list(tcb.locked_mutexes):
-            self._release(mutex, tcb)
 
     @service
     def tk_ref_mtx(self, mtxid: int):

@@ -177,13 +177,6 @@ class WaitQueue:
         """Remove and return the next entry to release."""
         return self._entries.pop(0) if self._entries else None
 
-    def find_task(self, tskid: int) -> Optional[WaitEntry]:
-        """The entry of the task with id *tskid*, if it is queued here."""
-        for entry in self._entries:
-            if entry.tcb.tskid == tskid:
-                return entry
-        return None
-
     def entries(self) -> List[WaitEntry]:
         """A copy of the queued entries in release order."""
         return list(self._entries)

@@ -232,11 +232,9 @@ class TaskManager:
     def _start(self, tcb: TaskControlBlock, stacd: int) -> None:
         tcb.stacd = stacd
         tcb.state = 0
-        tcb.priority = tcb.itskpri
         tcb.wupcnt = 0
         tcb.suscnt = 0
         assert tcb.thread is not None
-        tcb.thread.priority = tcb.itskpri
         self.kernel.api.start_thread(tcb.thread)
 
     @service
@@ -384,7 +382,9 @@ class TaskManager:
         """Change a task's base priority (0 restores the initial priority).
 
         A priority higher than the ceiling of a ``TA_CEILING`` mutex the
-        task holds or waits on is refused with ``E_ILUSE``.
+        task holds or waits on is refused with ``E_ILUSE``.  The current
+        priority follows :mod:`repro.tkernel.mutex`'s rule; if it does not
+        change, the task keeps its place in its queues.
         """
         tcb = self.resolve(tskid)
         if tskpri == 0:
@@ -393,8 +393,9 @@ class TaskManager:
             return E_PAR
         if tcb.is_dormant():
             return E_OBJ
-        self.kernel.mutexes.check_priority_change(tcb, tskpri)
-        self.kernel._set_task_priority(tcb, tskpri)
+        self.kernel.mutexes.check_ceilings(tcb, tskpri)
+        tcb.base_priority = tskpri
+        self.kernel.mutexes.update_priority(tcb)
         return E_OK
 
     @service

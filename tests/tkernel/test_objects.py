@@ -32,14 +32,13 @@ class TestWaitQueue:
         # Priority 1 first (FIFO among equals), then 5, then 9.
         assert queue.waiting_task_ids() == [2, 4, 1, 3]
 
-    def test_remove_and_find(self):
+    def test_remove(self):
         queue = WaitQueue()
         entry = WaitEntry(FakeTCB(7, 3), factor=1)
         queue.enqueue(entry)
-        assert queue.find_task(7) is entry
         assert queue.remove(entry)
         assert not queue.remove(entry)
-        assert queue.find_task(7) is None
+        assert queue.waiting_task_ids() == []
 
     def test_pop_returns_in_release_order(self):
         queue = WaitQueue(TA_TPRI)
