@@ -133,8 +133,8 @@ def bench_scheduler_ops(
 def event_stream_calls(kind: str, lines: int) -> int:
     """``repro.obs`` calls to stream *lines* ``sched`` lines of one shape.
 
-    The path of an observed run: ``Topic.emit`` with the shape SIM_API
-    declares and spelled-out keywords into a
+    The path of an observed run: ``Topic.emit_shape`` of a
+    :class:`~repro.obs.bus.Shape` built as SIM_API builds it into a
     :class:`~repro.obs.sinks.JsonlStreamSink` over memory, *kind*
     ``"dispatch"`` for marker lines or ``"exec"`` for slices.  A warm-up
     pass first, so the count is of the steady state only.
@@ -142,7 +142,7 @@ def event_stream_calls(kind: str, lines: int) -> int:
     import io
 
     from repro.core.events import ExecutionContext
-    from repro.obs.bus import EventBus
+    from repro.obs.bus import EventBus, Shape
     from repro.obs.sinks import JsonlStreamSink
     from repro.perf.bench import repro_calls
 
@@ -150,17 +150,16 @@ def event_stream_calls(kind: str, lines: int) -> int:
         fields = {"thread": "t0", "dur_ns": 500,
                   "context": ExecutionContext.TASK, "energy_nj": 1.25,
                   "label": "task:t0"}
-        shape = ("t0", "task", "task:t0", 500, 1.25)
     else:
         fields = {"thread": "t0"}
-        shape = (kind, "t0")
 
     def stream(count):
         bus = EventBus()
         sink = bus.subscribe(JsonlStreamSink(io.StringIO()), ("sched",))
         topic = bus.topic("sched")
+        shape = Shape("sched", kind, fields)
         for index in range(count):
-            topic.emit(kind, 1000 * index, shape, **fields)
+            topic.emit_shape(shape, 1000 * index)
         sink.close()
 
     stream(lines)
@@ -306,10 +305,11 @@ def bench_analytics(
 DISPATCH_CALL_BUDGET = 55
 
 #: ``repro.obs`` calls per streamed ``sched`` line of a shape the sink has
-#: already rendered, marker or exec alike: ``Topic.emit``, the event's
-#: ``__init__`` and ``JsonlStreamSink.handle``.  Rendering the line anew
-#: (``event_to_dict``, ``canonical_json``) would add two or three.
-STREAMED_LINE_CALLS = 3
+#: already rendered, marker or exec alike: ``Topic.emit_shape`` and
+#: ``JsonlStreamSink.handle_shape``.  An ``Event`` per line adds its
+#: ``__init__``; rendering the line anew (``event_to_dict``,
+#: ``canonical_json``) would add two or three.
+STREAMED_LINE_CALLS = 2
 
 #: Calls per result-store ``put`` (Python functions and builtins, CPython
 #: 3.11); lower it when the write path gets cheaper.

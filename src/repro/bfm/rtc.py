@@ -2,7 +2,8 @@
 
 "Real Time Clock driving the kernel Central Module with default timing
 resolution = 1 ms" (section 5.1).  The RTC owns the tick signal that the
-kernel's Thread Dispatch process is sensitive to, and counts its ticks.
+kernel's Thread Dispatch process is sensitive to.  Its tick count is the
+clock's own posedge count: no process resumes just to count ticks.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ class RealTimeClock:
         self.resolution = SimTime.coerce(resolution)
         self.name = name
         self.tick_signal = Clock(f"{name}.tick", self.resolution, simulator=simulator)
-        self.tick_count = 0
-        simulator.register_thread(f"{name}.counter", self._count_ticks,
-                                  sensitivity=self.tick_signal.posedge_event,
-                                  dont_initialize=True)
 
-    def _count_ticks(self):
-        while True:
-            self.tick_count += 1
-            yield None  # wait for the next posedge (static sensitivity)
+    @property
+    def tick_count(self) -> int:
+        """Rising edges of the tick signal so far."""
+        return self.tick_signal.posedge_count
 
     def stop(self) -> None:
         """Stop the tick signal (ends a bounded co-simulation cleanly)."""

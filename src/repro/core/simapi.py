@@ -56,6 +56,7 @@ from repro.core.petri import Transition
 from repro.core.scheduler import PriorityScheduler, Scheduler
 from repro.core.stack import SimStack
 from repro.core.tthread import BodyFactory, TThread
+from repro.obs.bus import Shape
 from repro.sysc.process import Wait
 from repro.sysc.time import SimTime
 
@@ -147,20 +148,20 @@ class SimApi:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _emit_marker(self, kind: str, thread_name: str) -> None:
+    def _emit_marker(self, kind: str, thread: TThread) -> None:
         """Count a scheduling point event and publish it if anyone listens.
 
-        The declared shape is ``(kind, thread)``, or none for a ``str``
-        subclass name (see :mod:`repro.obs.bus`, "Declared shapes").
+        Each (thread, marker kind) is one declared shape, built on first
+        use (see :mod:`repro.obs.bus`, "Declared shapes").
         """
         self.marker_count += 1
         topic = self._obs_sched
         if topic.enabled:
-            topic.emit(
-                kind, self.simulator._now_ns,
-                (kind, thread_name) if thread_name.__class__ is str else None,
-                thread=thread_name,
-            )
+            shape = thread._marker_shapes.get(kind)
+            if shape is None:
+                shape = thread._marker_shapes[kind] = Shape(
+                    "sched", kind, {"thread": thread.name})
+            topic.emit_shape(shape, self.simulator._now_ns)
 
     # ------------------------------------------------------------------
     # Thread creation & identifiers
@@ -284,7 +285,7 @@ class SimApi:
         self._account_idle_end()
         self.running = thread
         self.dispatch_count += 1
-        self._emit_marker("dispatch", thread.name)
+        self._emit_marker("dispatch", thread)
         thread.grant_cpu(resume_event)
 
     @staticmethod
@@ -390,11 +391,13 @@ class SimApi:
             self.segment_count += 1
             if topic.enabled:
                 dur_ns = simulator._now_ns - start_ns
-                topic.emit(
-                    "exec", start_ns, shape if dur_ns == chunk_ns else None,
-                    thread=thread.name, dur_ns=dur_ns, context=context,
-                    energy_nj=chunk_energy, label=label,
-                )
+                if dur_ns == chunk_ns:
+                    topic.emit_shape(shape, start_ns)
+                else:
+                    topic.emit(
+                        "exec", start_ns, thread=thread.name, dur_ns=dur_ns,
+                        context=context, energy_nj=chunk_energy, label=label,
+                    )
             remaining_ns -= chunk_ns
         if thread.interrupt_requested or thread.preempt_requested:
             yield from self._maybe_suspend(thread)
@@ -450,25 +453,11 @@ class SimApi:
         thread: TThread, wait: Wait, chunk_ns: int, chunk_energy: float,
         context: ExecutionContext, label: str,
     ) -> tuple:
-        """One chunk kind of a slice plan, with its declared exec shape.
-
-        The shape ``(thread, context value, label, chunk_ns, energy)`` is
-        declared only when those values fix the line's bytes: exact
-        ``str`` name and label and a finite, non-zero ``float`` energy.
-        Anything else (``±0.0``, NaN, ``str`` subclasses) publishes no
-        shape and renders generically.
-        """
-        name = thread.name
-        shape = None
-        if (
-            name.__class__ is str
-            and label.__class__ is str
-            and chunk_energy.__class__ is float
-            and chunk_energy - chunk_energy == 0.0  # false for NaN, ±inf
-            and chunk_energy != 0.0
-        ):
-            shape = (name, context._value_, label, chunk_ns, chunk_energy)
-        return (wait, chunk_ns, chunk_energy, shape)
+        """One chunk kind of a slice plan, with its declared exec shape."""
+        return (wait, chunk_ns, chunk_energy, Shape("sched", "exec", {
+            "thread": thread.name, "dur_ns": chunk_ns, "context": context,
+            "energy_nj": chunk_energy, "label": label,
+        }))
 
     def _run_transition(self, label: str, context: ExecutionContext) -> Transition:
         """The shared ``T_run`` transition for a (label, context) pair.
@@ -543,7 +532,7 @@ class SimApi:
             return
         thread.preemption_count += 1
         self.preemption_count += 1
-        self._emit_marker("preempt", thread.name)
+        self._emit_marker("preempt", thread)
         # The preempted task keeps the head position of its priority level.
         self.make_ready(thread, at_head=True)
         chosen = self.scheduler.pop_next()
@@ -576,7 +565,7 @@ class SimApi:
             return
         handler = self._pending_handlers.popleft()
         thread.interrupted_count += 1
-        self._emit_marker("interrupted", thread.name)
+        self._emit_marker("interrupted", thread)
         self.stack.push(thread, handler, self.simulator.now)
         if self._pending_handlers:
             # Another interrupt is already pending: let it nest inside the
@@ -617,7 +606,7 @@ class SimApi:
         # A blocked thread no longer owns the dispatch-disable state.
         saved_disable = self._dispatch_disable_count
         self._dispatch_disable_count = 0
-        self._emit_marker("sleep", thread.name)
+        self._emit_marker("sleep", thread)
         self._release_cpu()
         self._dispatch_after_release()
         resume = yield from thread._suspend_until_regranted(ThreadState.SLEEPING)
@@ -708,7 +697,7 @@ class SimApi:
         handler.set_state(ThreadState.DORMANT)
         if self.running is handler:
             self._release_cpu()
-        self._emit_marker("handler_return", handler.name)
+        self._emit_marker("handler_return", handler)
 
         if self._pending_handlers:
             # Service the next pending interrupt before resuming anything.
@@ -747,7 +736,7 @@ class SimApi:
             self.make_ready(interrupted, at_head=True)
             chosen = self.scheduler.pop_next()
             assert chosen is not None
-            self._emit_marker("delayed_preempt", interrupted.name)
+            self._emit_marker("delayed_preempt", interrupted)
             self._grant(chosen)
             return
         self._grant(interrupted)

@@ -81,10 +81,14 @@ class TThread:
         self._wakeup_transitions: dict = {}
         # SIM_Wait slice plans by budget, filled and bounded by SimApi.
         self._slice_plans: dict = {}
+        # Declared ``sched`` marker shapes by kind, built by SimApi.
+        self._marker_shapes: dict = {}
 
         # CPU-grant handshake with the SIM_API dispatcher.
         self._cpu_granted = False
         self._pending_resume_event: RunEvent = RunEvent.STARTUP
+        # True while an activation's body runs: only then can it be aborted.
+        self._in_body = False
         #: How the thread last suspended mid-body (PREEMPTED, INTERRUPTED or
         #: SLEEPING); None when the thread is dormant or running.
         self.suspend_kind: Optional[ThreadState] = None
@@ -137,17 +141,21 @@ class TThread:
         """Withdraw the CPU grant before the thread suspends."""
         self._cpu_granted = False
 
-    def force_terminate(self) -> None:
+    def force_terminate(self) -> bool:
         """Abort the current activation (used by ``tk_ter_tsk``).
 
         A :class:`ThreadTerminate` exception is raised at the body's current
         suspension point; the wrapper catches it, the activation ends and the
-        thread becomes dormant again, ready for a future re-start.
+        thread becomes dormant again, ready for a future re-start.  A body
+        that never ran is not aborted: the thread only becomes dormant.
+        Returns whether a body was aborted.
         """
-        if self.state is ThreadState.DORMANT or self.state is ThreadState.CREATED:
-            return
+        if not self._in_body:
+            self.set_state(ThreadState.DORMANT)
+            return False
         self._cpu_granted = False
         self.api.simulator.throw_into(self._process, ThreadTerminate())
+        return True
 
     # ------------------------------------------------------------------
     # The underlying SC_THREAD
@@ -171,12 +179,14 @@ class TThread:
                 self._activate_transitions[resume] = transition
             self.token.fire(transition)
             body = self.factory()
+            self._in_body = True
             try:
                 yield from body
             except ThreadExit:
                 pass
             except ThreadTerminate:
                 pass
+            self._in_body = False
             self.exit_count += 1
             self.token.complete_cycle()
             # Return the CPU to the library; it decides who runs next.

@@ -14,6 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "TOPICS",
         "Event",
         "EventBus",
+        "Shape",
         "Topic",
         "canonical_json",
         "event_to_dict",

@@ -55,31 +55,31 @@ record construction, no dictionary allocation.  The throughput benchmark
 One publish path
 ----------------
 
-With a sink attached, :meth:`Topic.emit` is the only way onto a topic: it
-builds one fresh :class:`Event` per publish and hands it to every sink, so
-a sink may keep what it is handed.  Publishers spell their fields out as
-keywords.  How an event becomes a line of JSON is the sinks' business:
-:func:`canonical_json` of :func:`event_to_dict`.
+With a sink attached, :meth:`Topic.emit` publishes one event: it builds
+one fresh :class:`Event` and hands it to every sink, so a sink may keep
+what it is handed.  Publishers spell their fields out as keywords.  How an
+event becomes a line of JSON is the sinks' business: :func:`canonical_json`
+of :func:`event_to_dict`.
 
 Declared shapes
 ---------------
 
-A publisher that knows its types may pass a *shape* with an event: any
-hashable that promises that every event with an equal shape on the topic
-has the same ``kind`` and fields, byte for byte under
-:func:`canonical_json` — only ``t_ns`` differs.  SIM_API declares one per
-exec chunk kind of a ``SIM_Wait`` slice plan and one per ``(kind,
-thread)`` marker.  :class:`~repro.obs.sinks.JsonlStreamSink` renders each
-declared shape once and reuses the line; every other sink gets the same
-:class:`Event` and may ignore ``shape``.  An event without a shape
-(``None``, the default) promises nothing.
+A publisher that publishes one event again and again at later times may
+build a :class:`Shape` (all of the event but ``t_ns``) once and publish it
+with :meth:`Topic.emit_shape`: SIM_API builds one per exec chunk kind of a
+``SIM_Wait`` slice plan and one per (thread, marker kind).  A sink with a
+``handle_shape(shape, t_ns)`` method, such as
+:class:`~repro.obs.sinks.JsonlStreamSink`, is handed the shape and may
+cache what it renders on it; every other sink gets one fresh
+:class:`Event` per publish with a copy of the shape's fields.  The topic
+records which kind each sink is once, at :meth:`Topic.attach`.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: The fixed topic namespace of the bus.
 TOPICS: Tuple[str, ...] = (
@@ -90,21 +90,17 @@ TOPICS: Tuple[str, ...] = (
 class Event:
     """One published event: a topic, a kind, a timestamp and payload fields.
 
-    ``shape`` is the publisher's declared shape (see "Declared shapes"
-    above) or ``None``.  Events are only constructed on the slow path (at
-    least one sink attached to the topic); ``__slots__`` keeps them cheap
-    even then.
+    Events are only constructed on the slow path (at least one sink
+    attached to the topic); ``__slots__`` keeps them cheap even then.
     """
 
-    __slots__ = ("topic", "kind", "t_ns", "fields", "shape")
+    __slots__ = ("topic", "kind", "t_ns", "fields")
 
-    def __init__(self, topic: str, kind: str, t_ns: int, fields: Dict[str, Any],
-                 shape: Hashable = None):
+    def __init__(self, topic: str, kind: str, t_ns: int, fields: Dict[str, Any]):
         self.topic = topic
         self.kind = kind
         self.t_ns = t_ns
         self.fields = fields
-        self.shape = shape
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dictionary form (see :func:`event_to_dict`)."""
@@ -117,51 +113,88 @@ class Event:
         )
 
 
+class Shape:
+    """All of an event but ``t_ns``, published with :meth:`Topic.emit_shape`
+    on the topic named *topic* (see "Declared shapes" above); no one changes
+    *fields* afterwards.  ``cut`` is ``None`` until a shape-rendering sink
+    first renders the shape, which then keeps what it derived there.
+    """
+
+    __slots__ = ("topic", "kind", "fields", "cut")
+
+    def __init__(self, topic: str, kind: str, fields: Dict[str, Any]):
+        self.topic = topic
+        self.kind = kind
+        self.fields = fields
+        self.cut: Any = None
+
+
 class Topic:
     """One named event stream with its attached sinks.
 
     ``enabled`` is the publisher-side fast-path flag: it is ``True`` exactly
     while at least one sink is attached, so publishers can skip all event
-    construction with a single attribute check.  :meth:`emit` is the one
-    publish method; each call builds a fresh :class:`Event`, so a sink may
+    construction with a single attribute check.  :meth:`emit` publishes one
+    event and :meth:`emit_shape` one event of a declared shape; either way
+    a sink that is handed an :class:`Event` gets a fresh one, so it may
     keep whatever it is handed.
     """
 
-    __slots__ = ("name", "enabled", "_sinks")
+    __slots__ = ("name", "enabled", "_sinks", "_shape_handlers", "_event_sinks")
 
     def __init__(self, name: str):
         self.name = name
         self.enabled = False
         self._sinks: List[Any] = []
+        self._shape_handlers: List[Any] = []
+        self._event_sinks: List[Any] = []
 
     def attach(self, sink: Any) -> None:
         """Attach *sink* (an object with ``handle(event)``); idempotent."""
         if sink not in self._sinks:
             self._sinks.append(sink)
+            self._split()
         self.enabled = True
 
     def detach(self, sink: Any) -> None:
         """Detach *sink* if attached; disables the topic when none remain."""
         if sink in self._sinks:
             self._sinks.remove(sink)
+            self._split()
         self.enabled = bool(self._sinks)
+
+    def _split(self) -> None:
+        """Record once which sinks render shapes and which take events."""
+        handlers = [getattr(sink, "handle_shape", None) for sink in self._sinks]
+        self._shape_handlers = [handler for handler in handlers if handler]
+        self._event_sinks = [
+            sink for sink, handler in zip(self._sinks, handlers) if not handler]
 
     def sink_count(self) -> int:
         """Number of attached sinks."""
         return len(self._sinks)
 
-    def emit(self, kind: str, t_ns: int, shape: Hashable = None, **fields: Any) -> None:
+    def emit(self, kind: str, t_ns: int, **fields: Any) -> None:
         """Publish one event to every attached sink.
 
-        *shape*, when given, is the publisher's promise that every event of
-        this topic with an equal shape has this *kind* and these *fields*
-        (see "Declared shapes" in the module docstring).  Publishers must
-        only call this behind an ``if topic.enabled:`` guard; calling it on
-        a disabled topic is harmless but wastes the fast path.
+        Publishers must only call this behind an ``if topic.enabled:``
+        guard; calling it on a disabled topic is harmless but wastes the
+        fast path.
         """
-        event = Event(self.name, kind, t_ns, fields, shape)
+        event = Event(self.name, kind, t_ns, fields)
         for sink in self._sinks:
             sink.handle(event)
+
+    def emit_shape(self, shape: Shape, t_ns: int) -> None:
+        """Publish *shape* at *t_ns* (behind the same ``enabled`` guard):
+        shape-rendering sinks get both, then every other sink one fresh
+        :class:`Event` with a copy of the shape's fields."""
+        for handle_shape in self._shape_handlers:
+            handle_shape(shape, t_ns)
+        if self._event_sinks:
+            event = Event(self.name, shape.kind, t_ns, dict(shape.fields))
+            for sink in self._event_sinks:
+                sink.handle(event)
 
     def __repr__(self) -> str:
         return f"Topic({self.name!r}, sinks={len(self._sinks)}, enabled={self.enabled})"

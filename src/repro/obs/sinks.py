@@ -33,17 +33,14 @@ import stat
 import sys
 from collections import deque
 from typing import (
-    Any, Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union,
+    Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.obs.bus import Event, canonical_json, event_to_dict
+from repro.obs.bus import Event, Shape, canonical_json, event_to_dict
 
-#: ``json.dumps`` renders finite floats through ``float.__repr__``; the
-#: shape memo of :class:`JsonlStreamSink` reuses it for ``t_ms``.
+#: ``json.dumps`` renders finite floats through ``float.__repr__``;
+#: :class:`JsonlStreamSink` reuses it for the ``t_ms`` of a shaped line.
 _float_repr = float.__repr__
-
-#: Cap on :class:`JsonlStreamSink`'s declared-shape memo, like the other memos.
-SHAPE_CAP = 1024
 
 #: Lines :class:`JsonlStreamSink` buffers before one ``writelines`` call.
 BATCH_LINES = 256
@@ -65,7 +62,10 @@ class Sink:
     """Base class for bus sinks (subclassing is optional — duck typing works).
 
     Every publish hands :meth:`handle` a fresh :class:`Event`, so a sink may
-    keep the event or its fields dict for as long as it likes.
+    keep the event or its fields dict for as long as it likes.  A sink that
+    also defines ``handle_shape(shape, t_ns)`` is handed events of a
+    declared shape that way instead (see "Declared shapes" in
+    :mod:`repro.obs.bus`).
     """
 
     #: Default topics :meth:`EventBus.subscribe` attaches the sink to.
@@ -193,17 +193,14 @@ class JsonlStreamSink(Sink):
     are a valid JSONL prefix (after a kill, a longer old file's tail
     still follows them).
 
-    A line of an event with a declared shape (see "Declared shapes" in
-    :mod:`repro.obs.bus`) renders once per shape.  The sink keeps a memo
-    from the shape to the line's head (up to ``"t_ms":``) and tail (the
-    rest), both cut from the generic line of the first event of the shape,
-    so every later line of the shape costs one float repr of ``t_ms``.
-    SIM_API declares a shape per exec chunk kind of a slice plan — every
-    whole-tick chunk of one ``SIM_Wait`` is the same slice at a later time —
-    and per ``(kind, thread)`` marker.  The sink derives no shape itself:
-    an event without one, or with a non-``int`` ``t_ns``, renders through
-    the generic encoder.  The memo is bounded (:data:`SHAPE_CAP`) and lives
-    and dies with the sink.
+    An event of a declared shape (see "Declared shapes" in
+    :mod:`repro.obs.bus`) reaches :meth:`handle_shape`, which renders the
+    shape's line once and keeps its head (up to ``"t_ms":``) and tail (the
+    rest) on the :class:`~repro.obs.bus.Shape`, so every later line of the
+    shape costs one float repr of ``t_ms``.  The cut is taken only where it
+    is unambiguous: an ``int`` ``t_ns``, no payload field named ``t_ms``,
+    and exactly one ``"t_ms":`` in the line, so that it is the time's key.
+    Any other line renders through the generic encoder.
     """
 
     def __init__(
@@ -216,19 +213,22 @@ class JsonlStreamSink(Sink):
         self._stream, self._owns_stream = _open_target(target)
         self._closed = False
         self._pending: List[str] = []
-        self._shapes: Dict[Any, Tuple[str, str]] = {}
         self.lines_written = 0
 
     def handle(self, event: Event) -> None:
-        shape = event.shape
-        t_ns = event.t_ns
-        cut = None
-        if shape is not None and t_ns.__class__ is int:
-            cut = self._shapes.get(shape)
-        if cut is None:
-            line = self._render(event, shape)
-        else:
+        pending = self._pending
+        pending.append(canonical_json(event_to_dict(event)) + "\n")
+        self.lines_written += 1
+        if len(pending) >= BATCH_LINES:
+            self._stream.writelines(pending)
+            pending.clear()
+
+    def handle_shape(self, shape: Shape, t_ns: int) -> None:
+        cut = shape.cut
+        if cut and t_ns.__class__ is int:
             line = cut[0] + _float_repr(t_ns / 1_000_000) + cut[1]
+        else:
+            line = self._render(shape, t_ns)
         pending = self._pending
         pending.append(line)
         self.lines_written += 1
@@ -236,25 +236,19 @@ class JsonlStreamSink(Sink):
             self._stream.writelines(pending)
             pending.clear()
 
-    def _render(self, event: Event, shape: Any) -> str:
-        """The generic line of *event*; with a *shape*, also memoize its cut.
-
-        The cut is taken only where it is unambiguous: an ``int`` ``t_ns``,
-        no payload field named ``t_ms``, and exactly one ``"t_ms":`` in the
-        line, so that it is the time's key.
-        """
-        line = canonical_json(event_to_dict(event))
-        if (
-            shape is not None
-            and event.t_ns.__class__ is int
-            and len(self._shapes) < SHAPE_CAP
-            and "t_ms" not in event.fields
-            and line.count('"t_ms":') == 1
-        ):
-            cut = line.index('"t_ms":') + len('"t_ms":')
-            t_repr = _float_repr(event.t_ns / 1_000_000)
-            assert line.startswith(t_repr, cut), line
-            self._shapes[shape] = (line[:cut], line[cut + len(t_repr):] + "\n")
+    @staticmethod
+    def _render(shape: Shape, t_ns: int) -> str:
+        """The generic line of *shape* at *t_ns*; the first one with an
+        ``int`` time also decides the shape's cut (``()`` for none)."""
+        line = canonical_json(event_to_dict(
+            Event(shape.topic, shape.kind, t_ns, shape.fields)))
+        if shape.cut is None and t_ns.__class__ is int:
+            shape.cut = ()
+            if "t_ms" not in shape.fields and line.count('"t_ms":') == 1:
+                cut = line.index('"t_ms":') + len('"t_ms":')
+                t_repr = _float_repr(t_ns / 1_000_000)
+                assert line.startswith(t_repr, cut), line
+                shape.cut = (line[:cut], line[cut + len(t_repr):] + "\n")
         return line + "\n"
 
     def close(self) -> None:

@@ -423,7 +423,9 @@ class TKernelOS(SCModule):
         """Forcibly terminate *tcb* (tk_ter_tsk)."""
         assert tcb.thread is not None
         self.api.make_unready(tcb.thread)
-        tcb.thread.force_terminate()
+        if not tcb.thread.force_terminate():
+            # Started but never run: no body unwinds to clean up after it.
+            self._on_task_body_finished(tcb)
         tcb.state = TTS_DMT
 
     def _set_task_priority(self, tcb: TaskControlBlock, priority: int) -> None:

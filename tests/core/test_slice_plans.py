@@ -1,11 +1,13 @@
 """SIM_Wait slice plans and the ``sched`` shapes SIM_API declares.
 
-``sim_wait`` resolves a budget once per T-THREAD into a slice plan; the
-plan's chunk kinds carry the exec shape the publisher declares, and the
-stream sink trusts that declaration.  So the promise is tested here, at the
-publisher: equal shapes render equal lines on every builtin, and SIM_API
-declares no shape where equal values could render different bytes (zero,
-NaN and infinite energies, ``str`` subclasses as label or thread name).
+``sim_wait`` resolves a budget once per T-THREAD into a slice plan; each of
+the plan's chunk kinds carries the :class:`~repro.obs.bus.Shape` its exec
+lines are published with, and each (thread, marker kind) has one too.  The
+stream sink renders a shape's line once and trusts it after that, so the
+promise is tested here, at the publisher: on every builtin every ``sched``
+event is shaped and the stream equals the generic encoder's lines, as it
+does for zero, NaN and infinite energies and ``str`` subclasses as label or
+thread name.
 """
 
 import io
@@ -17,6 +19,7 @@ from repro.campaign.registry import get_scenario, scenario_names
 from repro.campaign.runner import run_spec
 from repro.core import SimApi, SimApiError
 from repro.core.etm import AnnotationTable, TimingAnnotation
+from repro.core.events import ExecutionContext
 from repro.core.simapi import PLAN_CAP
 from repro.obs.bus import canonical_json, event_to_dict
 from repro.obs.sinks import JsonlStreamSink, ListSink
@@ -27,38 +30,41 @@ class _Name(str):
     """A ``str`` subclass: equal to its value, but not an exact ``str``."""
 
 
-class ShapeChecker:
-    """A ``sched`` sink asserting the declared-shape promise: events with
-    equal shapes render the same line once ``t_ms`` is dropped."""
+class ShapeRecorder:
+    """A ``sched`` sink that renders shapes: records each ``(shape,
+    t_ns)`` it is handed and counts the events it gets instead."""
 
     topics = ("sched",)
 
     def __init__(self):
-        self.lines = {}
-        self.shaped = 0
+        self.published = []
         self.unshaped = 0
 
     def handle(self, event):
-        if event.shape is None:
-            self.unshaped += 1
-            return
-        self.shaped += 1
-        document = event_to_dict(event)
-        del document["t_ms"]
-        line = canonical_json(document)
-        assert self.lines.setdefault(event.shape, line) == line, event.shape
+        self.unshaped += 1
+
+    def handle_shape(self, shape, t_ns):
+        self.published.append((shape, t_ns))
 
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_equal_declared_shapes_render_equal_lines(name):
-    checker = ShapeChecker()
-    run_spec(get_scenario(name), collect_events=False, sinks=[checker])
-    # Every sched event of a builtin is shaped: no line renders anew.
-    assert checker.shaped > len(checker.lines) > 0
-    assert checker.unshaped == 0
+def test_every_builtin_streams_shapes_like_the_encoder(name):
+    recorder = ShapeRecorder()
+    events = ListSink(("sched",))
+    stream = io.StringIO()
+    sink = JsonlStreamSink(stream, ("sched",))
+    run_spec(get_scenario(name), collect_events=False,
+             sinks=[recorder, events, sink])
+    sink.close()
+    # Every sched event of a builtin is shaped: few lines render anew.
+    shapes = {id(shape) for shape, _ in recorder.published}
+    assert len(recorder.published) > len(shapes) > 0
+    assert recorder.unshaped == 0
+    assert len(events.events) == len(recorder.published)
+    assert stream.getvalue() == _encoded(events.events)
 
 
-def _run(bodies, tick=SimTime.ms(1), until=SimTime.ms(50)):
+def _run(bodies, tick=SimTime.ms(1), until=SimTime.ms(50), sinks=()):
     """Run one T-THREAD per ``(name, body)``; returns (api, threads,
     collected sched events, streamed sched text)."""
     sim = Simulator("slice-plans")
@@ -66,6 +72,8 @@ def _run(bodies, tick=SimTime.ms(1), until=SimTime.ms(50)):
     events = sim.obs.subscribe(ListSink(("sched",)))
     stream = io.StringIO()
     sink = sim.obs.subscribe(JsonlStreamSink(stream, ("sched",)))
+    for extra in sinks:
+        sim.obs.subscribe(extra)
     threads = []
     for priority, (name, body) in enumerate(bodies, start=1):
         thread = api.create_thread(name, (lambda body=body: body(api)),
@@ -87,50 +95,58 @@ def _execs(events):
 
 class TestDeclaredShapes:
     @pytest.mark.parametrize("energy_nj", [0.0, -0.0, math.nan, math.inf, -math.inf])
-    def test_no_shape_for_zero_or_non_finite_energy(self, energy_nj):
+    def test_zero_or_non_finite_energy_streams_like_the_encoder(self, energy_nj):
         def body(api):
             for _ in range(2):
                 yield from api.sim_wait(cycles=100, energy_nj=energy_nj)
 
         _, _, events, text = _run([("t0", body)])
-        execs = _execs(events)
-        assert len(execs) == 2
-        assert all(event.shape is None for event in execs)
+        assert len(_execs(events)) == 2
         assert text == _encoded(events)
 
-    def test_no_shape_for_a_str_subclass_label(self):
+    def test_a_str_subclass_label_streams_like_the_encoder(self):
         def body(api):
             for _ in range(2):
                 yield from api.sim_wait(cycles=100, label=_Name("work"))
 
         _, _, events, text = _run([("t0", body)])
-        assert [event.shape for event in _execs(events)] == [None, None]
+        assert len(_execs(events)) == 2
         assert text == _encoded(events)
 
-    def test_no_shape_for_a_str_subclass_thread_name(self):
+    def test_a_str_subclass_thread_name_streams_like_the_encoder(self):
         def body(api):
             for _ in range(2):
                 yield from api.sim_wait(cycles=100, label="work")
 
         _, _, events, text = _run([(_Name("t0"), body)])
-        assert {event.kind for event in events} == {"dispatch", "exec"}
-        assert all(event.shape is None for event in events)
+        assert [event.kind for event in events] == ["dispatch", "exec", "exec"]
         assert text == _encoded(events)
 
-    def test_plain_budgets_declare_value_shapes(self):
-        """A 2.5-tick budget: two whole-tick chunks share one shape, the
-        tail has its own; markers are ``(kind, thread)``."""
+    def test_a_plan_publishes_one_shape_per_chunk_kind(self):
+        """A 2.5-tick budget, twice: the whole-tick chunks of both calls
+        share one shape and the tails another; the marker has its own."""
         def body(api):
-            yield from api.sim_wait(duration=SimTime.us(2500), energy_nj=5.0,
-                                    label="work")
+            for _ in range(2):
+                yield from api.sim_wait(duration=SimTime.us(2500),
+                                        energy_nj=5.0, label="work")
 
-        _, _, events, text = _run([("t0", body)])
-        assert [event.shape for event in events] == [
-            ("dispatch", "t0"),
-            ("t0", "task", "work", 1_000_000, 2.0),
-            ("t0", "task", "work", 1_000_000, 2.0),
-            ("t0", "task", "work", 500_000, 1.0),
+        recorder = ShapeRecorder()
+        _, threads, events, text = _run([("t0", body)], sinks=[recorder])
+        shapes = [shape for shape, _ in recorder.published]
+        marker, tick, tail = shapes[0], shapes[1], shapes[3]
+        assert shapes == [marker, tick, tick, tail, tick, tick, tail]
+        assert [t_ns for _, t_ns in recorder.published] == [
+            0, 0, 1_000_000, 2_000_000, 2_500_000, 3_500_000, 4_500_000]
+        assert (marker.topic, marker.kind, marker.fields) == (
+            "sched", "dispatch", {"thread": "t0"})
+        assert threads[0]._marker_shapes == {"dispatch": marker}
+        assert [(shape.kind, shape.fields) for shape in (tick, tail)] == [
+            ("exec", {"thread": "t0", "dur_ns": dur_ns,
+                      "context": ExecutionContext.TASK,
+                      "energy_nj": energy_nj, "label": "work"})
+            for dur_ns, energy_nj in ((1_000_000, 2.0), (500_000, 1.0))
         ]
+        assert recorder.unshaped == 0
         assert text == _encoded(events)
 
 

@@ -21,10 +21,11 @@ import pytest
 
 from repro.core.events import ExecutionContext
 from repro.obs import sinks as sinks_module
-from repro.obs.bus import Event, canonical_json, event_to_dict
+from repro.obs.bus import Event, EventBus, Shape, canonical_json, event_to_dict
 from repro.obs.sinks import (
     CounterSink,
     JsonlStreamSink,
+    ListSink,
     StreamingHistogram,
 )
 
@@ -173,104 +174,137 @@ class TestJsonlHardening:
         sink.close()  # must swallow the ValueError from flush
 
 
-def _exec_event(t_ns=1000, thread="t0", context=ExecutionContext.TASK,
-                label="task:t0", dur_ns=500, energy_nj=1.25, shape=True):
-    """An exec event; ``shape=True`` declares the shape SIM_API would."""
-    if shape is True:
-        shape = (thread, context._value_, label, dur_ns, energy_nj)
-    return Event("sched", "exec", t_ns, {
+def _exec_shape(thread="t0", context=ExecutionContext.TASK, label="task:t0",
+                dur_ns=500, energy_nj=1.25):
+    """An exec chunk shape as SIM_API builds one for a slice plan."""
+    return Shape("sched", "exec", {
         "thread": thread, "dur_ns": dur_ns, "context": context,
         "energy_nj": energy_nj, "label": label,
-    }, shape)
+    })
 
 
-def _marker_event(t_ns=12_000, kind="dispatch", thread="t0", shape=True):
-    if shape is True:
-        shape = (kind, thread)
-    return Event("sched", kind, t_ns, {"thread": thread}, shape)
+def _marker_shape(kind="dispatch", thread="t0"):
+    return Shape("sched", kind, {"thread": thread})
 
 
-class TestExecShapeMemo:
-    """Lines of a declared shape render once, byte-identical to the encoder.
+class _Keeper:
+    """A duck-typed sink (no :class:`Sink` base, no ``handle_shape``)."""
 
-    What a shape may be declared for is the publisher's business (see
-    ``tests/core/test_slice_plans.py``); the sink trusts the declaration.
+    def __init__(self):
+        self.events = []
+
+    def handle(self, event):
+        self.events.append(event)
+
+
+def _publish(publications, sinks=()):
+    """Publish ``(shape, t_ns)`` pairs on a bus with a stream sink and a
+    list sink attached; returns (streamed text, collected events)."""
+    bus = EventBus()
+    stream = io.StringIO()
+    sink = bus.subscribe(JsonlStreamSink(stream))
+    collected = bus.subscribe(ListSink())
+    for extra in sinks:
+        bus.subscribe(extra)
+    for shape, t_ns in publications:
+        bus.topic(shape.topic).emit_shape(shape, t_ns)
+    sink.close()
+    return stream.getvalue(), collected.events
+
+
+def _encoded(events):
+    return "".join(canonical_json(event.to_dict()) + "\n" for event in events)
+
+
+class TestDeclaredShapes:
+    """A shape's line renders once, byte-identical to the encoder.
+
+    What a publisher builds shapes for is its business (see
+    ``tests/core/test_slice_plans.py``); the sink trusts the shape.
     """
 
-    @staticmethod
-    def _stream(events):
-        stream = io.StringIO()
-        with JsonlStreamSink(stream) as sink:
-            for event in events:
-                sink.handle(event)
-        return stream.getvalue(), sink
-
-    @staticmethod
-    def _encoded(events):
-        return "".join(canonical_json(event.to_dict()) + "\n" for event in events)
-
     def test_repeated_shapes_render_like_the_encoder(self):
-        events = [
-            _exec_event(t_ns=t_ns, thread=thread, dur_ns=dur_ns)
-            for t_ns in (0, 1, 999_999, 1_000_000, 123_456_789_012)
+        shapes = [
+            _exec_shape(thread=thread, dur_ns=dur_ns)
             for thread in ("t0", "t\"1\u00e9")
             for dur_ns in (1, 500)
-        ]
-        events.append(_marker_event(t_ns=7))
-        text, sink = self._stream(events)
-        assert text == self._encoded(events)
-        assert len(sink._shapes) == 5
-
-    def test_an_unshaped_event_is_never_memoized(self):
-        events = [
-            event
-            for t_ns in (0, 1_000, 2_000)
-            for event in (
-                _exec_event(t_ns=t_ns, shape=None),
-                _marker_event(t_ns=t_ns, shape=None),
-                Event("svc", "enter", t_ns, {"name": "tk_slp_tsk"}),
-            )
-        ]
-        text, sink = self._stream(events)
-        assert text == self._encoded(events)
-        assert sink._shapes == {}
+        ] + [_marker_shape()]
+        text, events = _publish(
+            (shape, t_ns)
+            for t_ns in (0, 1, 999_999, 1_000_000, 123_456_789_012)
+            for shape in shapes)
+        assert len(events) == 25
+        assert text == _encoded(events)
+        assert all(len(shape.cut) == 2 for shape in shapes)
 
     def test_a_time_that_is_not_an_int_renders_generically(self):
         """``t_ms`` is cut as ``float.__repr__``; ``json`` spells NaN and
-        the infinities otherwise, and ``True`` is no ``int`` here."""
-        events = [
-            _marker_event(t_ns=t_ns)
-            for t_ns in (True, 15_000.0, float("nan"), float("inf"), 16_000)
-        ]
-        text, sink = self._stream(events)
-        assert text == self._encoded(events)
-        assert list(sink._shapes) == [("dispatch", "t0")]
+        the infinities otherwise, and ``True`` is no ``int`` here.  A
+        non-``int`` time neither takes the cut nor uses one."""
+        shape = _marker_shape()
+        times = (True, 15_000.0, float("nan"), float("inf"), 16_000,
+                 True, 15_000.0, float("-inf"), 17_000)
+        text, events = _publish((shape, t_ns) for t_ns in times)
+        assert text == _encoded(events)
+        assert [event.t_ns for event in events] == list(times)
+        assert len(shape.cut) == 2
 
     def test_a_payload_field_named_t_ms_is_never_cut(self):
         """On a generic topic a ``t_ms`` field overwrites the time, so the
         shape's line is constant and must not get later times spliced in."""
-        events = [
-            Event("svc", "enter", t_ns, {"t_ms": 1e-06, 'x"t_ms': 1e-06},
-                  ("svc-shape",))
-            for t_ns in (1, 2, 3)
-        ]
-        text, sink = self._stream(events)
-        assert text == self._encoded(events)
-        assert sink._shapes == {}
+        shape = Shape("svc", "enter", {"t_ms": 1e-06, 'x"t_ms': 1e-06})
+        text, events = _publish((shape, t_ns) for t_ns in (1, 2, 3))
+        assert text == _encoded(events)
+        assert shape.cut == ()
 
-    def test_the_memo_is_bounded_and_belongs_to_its_sink(self):
-        from repro.obs.sinks import SHAPE_CAP
+    def test_a_shape_renders_once_for_every_stream_sink(self, monkeypatch):
+        rendered = []
+        real = sinks_module.event_to_dict
 
-        events = [
-            _exec_event(t_ns=index, dur_ns=index + 1)
-            for index in range(SHAPE_CAP + 10)
-        ]
-        events += events[-5:]
-        text, sink = self._stream(events)
-        assert text == self._encoded(events)
-        assert len(sink._shapes) == SHAPE_CAP
-        _, fresh = self._stream([])
-        assert fresh._shapes == {}
+        def counting(event):
+            rendered.append(event.kind)
+            return real(event)
+
+        monkeypatch.setattr(sinks_module, "event_to_dict", counting)
+        shape = _exec_shape()
+        other_stream = io.StringIO()
+        other = JsonlStreamSink(other_stream)
+        text, events = _publish(((shape, t_ns) for t_ns in range(5)), [other])
+        other.close()
+        assert rendered == ["exec"]
+        assert text == other_stream.getvalue()
+        monkeypatch.undo()
+        assert text == _encoded(events)
+
+    def test_a_duck_typed_sink_gets_a_fresh_event_per_publish(self):
+        shape = _exec_shape()
+        keeper = _Keeper()
+        text, events = _publish(((shape, t_ns) for t_ns in (10, 20)), [keeper])
+        assert text == _encoded(events)
+        first, second = keeper.events
+        assert first is not second
+        assert (first.topic, first.kind, first.t_ns) == ("sched", "exec", 10)
+        assert first.fields == second.fields == shape.fields
+        assert len({id(first.fields), id(second.fields), id(shape.fields)}) == 3
+        first.fields["label"] = "kept and changed"
+        assert shape.fields["label"] == second.fields["label"] == "task:t0"
+
+    def test_attach_and_detach_sort_the_sinks(self):
+        bus = EventBus()
+        topic = bus.topic("sched")
+        stream = io.StringIO()
+        sink = bus.subscribe(JsonlStreamSink(stream), ("sched",))
+        keeper = bus.subscribe(_Keeper(), ("sched",))
+        shape = _marker_shape()
+        topic.emit_shape(shape, 1_000)
+        bus.unsubscribe(sink)
+        sink.close()
+        topic.emit_shape(shape, 2_000)
+        bus.unsubscribe(keeper)
+        assert not topic.enabled
+        topic.emit_shape(shape, 3_000)
+        assert [event.t_ns for event in keeper.events] == [1_000, 2_000]
+        assert stream.getvalue() == _encoded(keeper.events[:1])
 
 
 class TestCounterSnapshot:

@@ -1,11 +1,11 @@
 """``JsonlStreamSink`` writes exactly the generic encoder's lines.
 
-The sink renders events of a declared shape through a per-shape memo; any
-input the memo does not take must fall back to
+The sink renders a declared shape's line once and cuts it around ``t_ms``;
+any input the cut does not take must fall back to
 ``canonical_json(event_to_dict(e))``, so the two agree on every event, not
 only on the ones a run publishes.  Each event is streamed twice through one
-sink without a shape, and twice through another with one: the second
-shaped pass hits the memo entry the first one made, if it made one.
+sink as an :class:`Event`, and twice through another as a :class:`Shape`:
+the second shaped line reuses the cut the first one made, if it made one.
 """
 
 import io
@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.events import ExecutionContext
-from repro.obs.bus import Event, canonical_json, event_to_dict
+from repro.obs.bus import Event, Shape, canonical_json, event_to_dict
 from repro.obs.sinks import JsonlStreamSink
 
 
@@ -38,13 +38,17 @@ contexts = st.one_of(st.sampled_from(list(ExecutionContext)), strings)
 
 def assert_generic(event):
     expected = 2 * (canonical_json(event_to_dict(event)) + "\n")
-    shaped = Event(event.topic, event.kind, event.t_ns, event.fields, ("shape",))
-    for published in (event, shaped):
-        stream = io.StringIO()
-        with JsonlStreamSink(stream) as sink:
-            sink.handle(published)
-            sink.handle(published)
-        assert stream.getvalue() == expected
+    stream = io.StringIO()
+    with JsonlStreamSink(stream) as sink:
+        sink.handle(event)
+        sink.handle(event)
+    assert stream.getvalue() == expected
+    shape = Shape(event.topic, event.kind, event.fields)
+    stream = io.StringIO()
+    with JsonlStreamSink(stream) as sink:
+        sink.handle_shape(shape, event.t_ns)
+        sink.handle_shape(shape, event.t_ns)
+    assert stream.getvalue() == expected
 
 
 def exec_event(t_ns, thread, dur_ns, context, energy_nj, label):

@@ -129,9 +129,11 @@ def test_a_run_does_the_same_work_after_another_run(name):
 #: no kernel call is paid per advance: a helper call per advance adds
 #: 1,537, and one per drained bucket adds 934.  The total includes the
 #: ``__init__`` of the 333 ``SimTime`` and 12 ``WaitEvent`` values the run
-#: constructs; a ``Wait`` or ``ProcessHandle`` costs one counted call.
-VIDEOGAME_SYSC_CALLS = 11_396
-VIDEOGAME_KERNEL_CALLS = 5_524
+#: constructs; a ``Wait`` or ``ProcessHandle`` costs one counted call.  An
+#: SC_THREAD that resumes on every RTC tick adds 1,013, 606 of them in the
+#: kernel.
+VIDEOGAME_SYSC_CALLS = 10_383
+VIDEOGAME_KERNEL_CALLS = 4_918
 VIDEOGAME_TIMED_ADVANCES = 1537
 
 
@@ -183,6 +185,49 @@ def test_exec_lines_render_once_per_shape():
     assert len(execs) > 10 * len(shapes)
     assert len(documents) - len(execs) > len(markers)
     assert encodes == len(markers) + len(shapes)
+
+
+#: ``repro.obs`` calls per streamed ``sched`` line of a videogame run:
+#: ``Topic.emit_shape`` and ``JsonlStreamSink.handle_shape``.  Differencing
+#: a 400 ms and a 200 ms run cancels the setup and the first render of each
+#: shape.  An ``Event`` per line (``Topic.emit``, ``Event.__init__``,
+#: ``JsonlStreamSink.handle``) reads 3.0.
+OBS_CALLS_PER_SCHED_LINE = 2
+
+
+def test_a_streamed_sched_line_costs_two_obs_calls():
+    runs = []
+    for duration_ms in (200, 400):
+        stats, lines = _streamed_profile(_videogame(duration_ms))
+        runs.append((len(lines), sum(repro_calls(stats, "obs").values())))
+    (short_lines, short_calls), (long_lines, long_calls) = runs
+    assert long_lines - short_lines > 1000
+    per_line = (long_calls - short_calls) / (long_lines - short_lines)
+    assert per_line <= OBS_CALLS_PER_SCHED_LINE, (
+        f"{per_line:g} repro.obs calls per streamed sched line, budget "
+        f"{OBS_CALLS_PER_SCHED_LINE}")
+
+
+def test_no_process_resumes_to_count_rtc_ticks():
+    """The RTC's tick count is its clock's posedge count: 200 ms of the
+    co-simulation call nothing in ``bfm/rtc.py`` but the one read of
+    ``tick_count``.  A counting SC_THREAD resumes once per tick."""
+    from repro.app.framework import CoSimulationFramework, FrameworkConfig
+    from repro.sysc.time import SimTime
+
+    framework = CoSimulationFramework(FrameworkConfig(gui_enabled=False))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        framework.simulator.run(SimTime.ms(200))
+        ticks = framework.bfm.rtc.tick_count
+    finally:
+        profiler.disable()
+    calls = repro_calls(pstats.Stats(profiler).stats, "bfm")
+    rtc = os.path.join("bfm", "rtc.py") + ":"
+    assert ticks == 201  # the posedges at 0, 1, ..., 200 ms
+    assert {key: count for key, count in calls.items() if key.startswith(rtc)} \
+        == {rtc + "tick_count": 1}
 
 
 def _enum_frames_by_caller(run):

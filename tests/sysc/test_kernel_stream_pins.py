@@ -43,7 +43,7 @@ KERNEL_SCHED_PINS = {
         743, "785518e8934d06a87ebea69ad41f47d3661bac7a2dccfba5708c4d82ec65eecf",
         304, 294),
     "videogame": (
-        4212, "53c53752f8ede45abc71c66885ee0191bc2781a257f6d451f3e5b18ba128bdf0",
+        4211, "36a3a9cfae595c65892c9a18cba350d8e13087cb0f3254ac24ce18af7b534298",
         1404, 1537),
 }
 

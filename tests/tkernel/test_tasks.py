@@ -170,6 +170,37 @@ class TestTaskLifecycle:
         assert results["state"] == "DMT"
         assert results["restart"] == E_OK
 
+    def test_tk_ter_tsk_of_a_task_that_never_ran(self):
+        """A started task the initial task outranks has run no body: the
+        termination leaves its process waiting for the next start, and
+        the task is reset as a finished one would be."""
+        log = []
+        results = {}
+
+        def user_main(kernel):
+            def worker(stacd, exinf):
+                log.append(("ran", stacd, kernel.simulator.now.to_ms()))
+                yield from kernel.api.sim_wait(duration=SimTime.ms(1))
+
+            tskid = yield from kernel.tk_cre_tsk(worker, itskpri=10)
+            yield from kernel.tk_sta_tsk(tskid, 1)
+            yield from kernel.tk_chg_pri(tskid, 12)
+            yield from kernel.tk_wup_tsk(tskid)
+            results["terminate"] = yield from kernel.tk_ter_tsk(tskid)
+            ref = yield from kernel.tk_ref_tsk(tskid)
+            results["ref"] = (ref["state_name"], ref["tskpri"], ref["tskbpri"],
+                              ref["wupcnt"])
+            results["restart"] = yield from kernel.tk_sta_tsk(tskid, 2)
+            results["delay"] = yield from kernel.tk_dly_tsk(10)
+            results["back_at"] = kernel.simulator.now.to_ms()
+
+        run_kernel(user_main, duration_ms=30)
+        assert results.get("delay") == E_OK
+        assert [entry[:2] for entry in log] == [("ran", 2)]
+        assert log[0][2] < results["back_at"] < 30
+        assert results["terminate"] == results["restart"] == E_OK
+        assert results["ref"] == ("DMT", 10, 10, 0)
+
     def test_task_deletion_requires_dormant(self):
         results = {}
 
