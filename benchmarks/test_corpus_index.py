@@ -1,22 +1,22 @@
 """Analytics corpus-index guard: warm queries must stay sim-free and cheap.
 
 The analytics plane's contract is *zero simulation on a warm store*: the
-index is a pure function of stored artifacts, ``index build`` reads each
-artifact once and summarises each stored stream once, and every query and
-report reads only the index.  Three properties are pinned here:
+index is a pure function of stored entries, ``index build`` reads each
+entry file once and summarises each stored stream once, and every query
+and report reads only the index.  Three properties are pinned here:
 
 * **No simulation.**  Building the index and querying it on a warm store
   never constructs a :class:`~repro.sysc.kernel.Simulator` — structurally
   asserted by poisoning ``Simulator.__init__``.
-* **Exact build budget.**  Per entry, ``build_index`` opens each of its
-  three files once and decodes its stream with exactly one bulk
+* **Exact build budget.**  Per entry, ``build_index`` opens its file
+  once and decodes its stream with exactly one bulk
   ``json.loads`` (four ``json.loads`` in all) — a second stream decode or
   a per-line decode breaks the count on any host.
 * **Exact read budget.**  On an unchanged store, opening the index (its
   freshness check included) and every query and report open no file under
-  the store root — a per-query artifact read, or a freshness check that
-  re-reads manifests it has a matching stat for, breaks it.  After one new
-  ``put``, the freshness check opens exactly that entry's manifest.
+  the store root — a per-query entry read, or a freshness check that
+  re-reads entries it has a matching stat for, breaks it.  After one new
+  ``put``, the freshness check opens exactly that entry's file.
 """
 
 import builtins
@@ -78,14 +78,13 @@ def _fill_store(store: ResultStore, runs: int = RUNS) -> None:
 
 
 def settle(store: ResultStore) -> None:
-    """Wait until the file system's clock has passed every manifest's ctime.
+    """Wait until the file system's clock has passed every entry's ctime.
 
     An index built afterwards has an mtime newer than each entry it
     records, so its freshness check trusts them all (the racy-entry rule
-    re-reads a manifest changed within the build's timestamp tick).
+    re-reads an entry changed within the build's timestamp tick).
     """
-    newest = max(os.stat(os.path.join(entry_dir, "manifest.json")).st_ctime_ns
-                 for _, entry_dir in store._entry_dirs())
+    newest = max(os.stat(path).st_ctime_ns for _, path in store.entries())
     probe = os.path.join(os.path.dirname(store.root), "clock-probe")
     os.close(os.open(probe, os.O_WRONLY | os.O_CREAT))
     while os.stat(probe).st_mtime_ns <= newest:
@@ -157,15 +156,11 @@ def test_warm_query_never_constructs_a_simulator(store, monkeypatch):
 
 
 def test_index_build_reads_and_decodes_each_entry_once(store, store_opens):
-    """Per entry: one open of each file and four ``json.loads`` calls —
+    """Per entry: one open of its file and four ``json.loads`` calls —
     the manifest, the run document's spec member, the task set and one
     bulk decode of the stream."""
     loads, stream_loads = _json_loads_calls(build_index, store)
-    artifacts = ("manifest.json", "metrics.json", "events.jsonl")
-    expected = sorted(
-        os.path.join(key[:2], key, artifact)
-        for key, _ in store._entry_dirs() for artifact in artifacts
-    )
+    expected = sorted(os.path.join(key[:2], key) for key, _ in store.entries())
     assert sorted(store_opens) == expected
     assert stream_loads == RUNS
     assert loads == 4 * RUNS
@@ -193,12 +188,11 @@ def test_queries_and_reports_open_nothing_but_the_index(store, store_opens):
     assert store_opens == []
 
 
-def test_freshness_after_one_put_opens_only_its_manifest(store, store_opens):
+def test_freshness_after_one_put_opens_only_its_entry(store, store_opens):
     build_index(store)
     spec = {"name": "guard/new", "kernel": "tkernel", "workload": "generated",
             "seed": RUNS, "duration_ms": 40.0}
     added = store.put(RunResult(spec, {"context_switches": 1}), b"")
     del store_opens[:]
     assert index_status(store)["fresh"] is False
-    assert store_opens == [os.path.join(added.key[:2], added.key,
-                                        "manifest.json")]
+    assert store_opens == [os.path.join(added.key[:2], added.key)]

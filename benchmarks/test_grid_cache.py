@@ -9,15 +9,16 @@ that any host reproduces:
   invoked — structurally asserted by poisoning ``build_scenario``.
 * **Exact hit work.**  A metrics-only hit (``collect_events=False``) makes
   no call into a simulator package, touches ``repro.obs`` only to encode
-  the spec key, opens and reads each of the entry's three files once,
-  creates four hashers (the spec key, one digest per artifact and the
-  stored spec member, which must hash to the key) and decodes JSON twice:
-  the manifest, and the ``metrics`` member of ``metrics.json`` — never that
-  whole document, whose ``spec`` member is the looked-up spec.  Re-simulating on a hit, hashing per event,
+  the spec key, opens the entry file once and reads it once, creates
+  four hashers (the spec key, one digest per section and the stored spec
+  member, which must hash to the key) and decodes JSON twice: the
+  manifest line with ``json.loads``, and the ``metrics`` member of the
+  metrics section with one ``raw_decode`` — never that whole run
+  document, whose ``spec`` member is the looked-up spec.  Re-simulating on a hit, hashing per event,
   re-parsing the stream for a metrics-only replay or decoding the stored
   spec each break a count.
 * **Flat across horizons.**  A hit on a 4x longer run makes exactly the
-  same calls: verification hashes each artifact in one call, so hit work
+  same calls: verification hashes each section in one call, so hit work
   grows with no per-event step.
 """
 
@@ -32,7 +33,7 @@ from unittest import mock
 import pytest
 
 import repro.grid.store as store_module
-from repro.campaign import get_scenario, run_spec
+from repro.campaign import get_scenario, run_spec, spec_hash
 from repro.grid import ResultStore
 from repro.perf.bench import repro_calls
 
@@ -47,7 +48,7 @@ HIT_OBS_CALLS = {os.path.join("obs", "bus.py") + ":canonical_json": 1}
 #: when the hit path gets cheaper.
 HIT_GRID_CALLS = 5
 
-#: Hashers one hit creates: the spec key, one digest per artifact and the
+#: Hashers one hit creates: the spec key, one digest per section and the
 #: stored spec member, which the entry check hashes against the key.
 HIT_HASHERS = 4
 
@@ -61,7 +62,7 @@ def hit_work(store, spec):
     """A warm metrics-only hit of *spec*:
     ``(result, stats, opened, reads, loaded)``.
 
-    *opened* counts the opens of each file name under the store root,
+    *opened* counts the opens of each path under the store root,
     *reads* the reads ``cProfile`` saw on any file and *loaded* lists the
     documents ``json.loads`` returned.
     """
@@ -74,7 +75,7 @@ def hit_work(store, spec):
     def counting_open(file, *args, **kwargs):
         path = os.path.abspath(str(file))
         if path.startswith(store.root + os.sep):
-            opened[os.path.basename(path)] += 1
+            opened[path] += 1
         return real_open(file, *args, **kwargs)
 
     def recording_loads(*args, **kwargs):
@@ -142,10 +143,9 @@ def test_cache_hit_work_budget(store):
         f"a cache hit called into the simulator: {simulator_calls}")
     assert dict(repro_calls(stats, "obs")) == HIT_OBS_CALLS, (
         "a metrics-only hit did stream work (decoding or encoding events)")
-    assert opened == {"manifest.json": 1, "metrics.json": 1,
-                      "events.jsonl": 1}, (
-        f"a hit opened {dict(opened)}: each artifact must be opened once")
-    assert reads == 3, f"a hit read its files {reads} times, not once each"
+    assert opened == {store.entry_path(spec_hash(spec)): 1}, (
+        f"a hit opened {dict(opened)}: only its entry file, once")
+    assert reads == 1, f"a hit read its entry file {reads} times, not once"
     assert hashers == HIT_HASHERS, (
         f"a hit created {hashers} hashers — hashing is per artifact, "
         f"never per event")
@@ -154,7 +154,7 @@ def test_cache_hit_work_budget(store):
         "a hit decoded a document other than its manifest with json.loads")
     assert calls_from(stats, json.JSONDecoder.raw_decode,
                       store_module.__file__) == 1, (
-        "a hit must decode the metrics member of metrics.json once")
+        "a hit must decode the metrics member of its run document once")
     assert hit.spec == spec.to_dict()
     assert package_calls(stats, "grid") <= HIT_GRID_CALLS
 

@@ -1,6 +1,6 @@
 """The corpus index: a queryable columnar view of a result store.
 
-A warm :class:`~repro.grid.store.ResultStore` holds one directory per run —
+A warm :class:`~repro.grid.store.ResultStore` holds one file per run —
 perfect for byte-identical replay, useless for asking "mean preemptions by
 kernel where utilization > 0.5".  This module builds a stdlib-``sqlite3``
 index over the store: **one row per verified entry**, one column per spec
@@ -22,8 +22,8 @@ rows and never open a stored stream:
 :func:`summarise_stream` is the one place that reads a stored ``sched``
 stream for analytics.  :func:`build_index` verifies each entry through
 the store's one entry check
-(:meth:`~repro.grid.store.ResultStore.check_entry`), which reads each
-artifact once, and decodes the verified stream once through
+(:meth:`~repro.grid.store.ResultStore.check_entry`) on the bytes the
+walk read from each entry file, and decodes the verified stream once through
 :func:`repro.obs.replay.decode_stored_jsonl`.  A summary is
 O(tasks · jobs + buckets), not O(events).
 
@@ -43,8 +43,8 @@ are a *pure function of the store*:
 
 Rebuilding twice therefore yields byte-identical query and report output,
 and :func:`corpus_fingerprint` — a digest over the store's code fingerprint
-and every entry's recorded artifact digests — lets :func:`index_status`
-detect staleness without re-reading artifacts.  Artifacts are verified when
+and every entry's recorded section digests — lets :func:`index_status`
+detect staleness without re-reading sections.  Sections are verified when
 the index is built; bit rot after the build is ``repro cache verify``'s to
 find.  The index file lives *inside* the store root as ``.corpus.sqlite``:
 dot-prefixed names are invisible to the store's own entry walk, and the
@@ -52,12 +52,12 @@ index travels with the corpus it describes.
 
 Freshness costs O(changed entries).  Besides the content tables, the build
 records a host-local ``entry_stat`` table: per entry, the ``os.fstat`` of
-the manifest handle it read (inode, size, mtime and ctime in ns) and the
-two digests it hashed.  The freshness check walks the entry directories
-once and reads only the manifests it cannot trust; it trusts an entry
-whose manifest stat equals its row and whose recorded ctime is older than
-the index file's mtime (git's racy-entry rule: a manifest rewritten within
-the build's timestamp tick is read again).  The fingerprint it computes
+the entry file handle it read (inode, size, mtime and ctime in ns) and the
+two digests it hashed.  The freshness check walks the entries once and
+reads only the entry files it cannot trust; it trusts an entry whose file
+stat equals its row and whose recorded ctime is older than the index
+file's mtime (git's racy-entry rule: an entry rewritten within the
+build's timestamp tick is read again).  The fingerprint it computes
 is exactly the full walk's, which an empty snapshot is.  Writers are asked
 for nothing.  No query or report reads ``entry_stat``; a copied store's
 stats all differ, so its first check is a full walk.
@@ -73,7 +73,7 @@ from typing import (
     Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
-from repro.grid.store import GridError, ResultStore
+from repro.grid.store import GridError, ResultStore, entry_manifest, read_entry
 from repro.obs.bus import canonical_json
 from repro.obs.replay import decode_stored_jsonl
 from repro.obs.sinks import StreamingHistogram
@@ -102,7 +102,7 @@ def default_index_path(store: ResultStore) -> str:
 # ----------------------------------------------------------------------
 # Fingerprinting
 # ----------------------------------------------------------------------
-#: One ``entry_stat`` row past its key: the manifest's ``(st_ino, st_size,
+#: One ``entry_stat`` row past its key: the entry file's ``(st_ino, st_size,
 #: st_mtime_ns, st_ctime_ns)`` followed by the metrics and events digests
 #: the corpus fingerprint hashed for it (both ``None`` when the entry does
 #: not count: unparseable, another key or other code).
@@ -112,7 +112,7 @@ StatRow = Tuple[int, int, int, int, Optional[str], Optional[str]]
 NO_SNAPSHOT: Mapping[str, StatRow] = {}
 
 
-def _manifest_stat(found: os.stat_result) -> Tuple[int, int, int, int]:
+def _entry_stat(found: os.stat_result) -> Tuple[int, int, int, int]:
     # st_ino is unsigned 64-bit on some file systems; SQLite integers are
     # signed, so fold it into that range.
     ino = found.st_ino
@@ -123,51 +123,50 @@ def _manifest_stat(found: os.stat_result) -> Tuple[int, int, int, int]:
 def _walk_manifests(
     store: ResultStore, hasher: Any,
     snapshot: Mapping[str, StatRow] = NO_SNAPSHOT,
-) -> Iterator[Tuple[str, str, Optional[Dict[str, Any]], StatRow]]:
-    """``(key, entry_dir, manifest, row)`` of every entry with a manifest.
+) -> Iterator[Tuple[str, str, Optional[Dict[str, Any]], Optional[bytes],
+                    StatRow]]:
+    """``(key, path, manifest, blob, row)`` of every entry file.
 
     The one manifest walk.  An entry counts when its manifest parses to an
     object naming its own key and the running code fingerprint.  *hasher*
     (a ``hashlib.sha256()``) takes the code fingerprint first, then each
     counting entry's key and digests before it is yielded, so draining the
-    walk leaves it at the corpus fingerprint — verified artifacts or not.
+    walk leaves it at the corpus fingerprint — verified sections or not.
 
-    An entry whose manifest ``os.stat`` equals its *snapshot* row is
-    trusted: its recorded digests are hashed and its manifest is not read
-    (``manifest`` is ``None``).  Every other manifest is opened and read
-    once; ``row`` holds the ``os.fstat`` of that handle.  ``manifest`` is
-    the parsed document of a read entry that counts, else ``None``.
+    An entry whose file ``os.stat`` equals its *snapshot* row is trusted:
+    its recorded digests are hashed and its file is not read (``manifest``
+    and ``blob`` are ``None``).  Every other entry file is opened and read
+    once (:func:`~repro.grid.store.read_entry`); ``blob`` holds its bytes
+    and ``row`` the ``os.fstat`` of that handle.  ``manifest`` is the
+    parsed manifest of a read entry that counts, else ``None``.  An entry
+    with no file to read (a directory-layout entry) is skipped.
     """
     hasher.update(store.fingerprint.encode("utf-8"))
-    for key, entry_dir in store._entry_dirs():
-        path = os.path.join(entry_dir, "manifest.json")
+    for key, path in store.entries():
         known = snapshot.get(key)
         manifest: Optional[Dict[str, Any]] = None
+        blob: Optional[bytes] = None
         try:
-            if known is not None and _manifest_stat(os.stat(path)) == known[:4]:
+            if known is not None and _entry_stat(os.stat(path)) == known[:4]:
                 row = known
             else:
-                with open(path, "rb") as handle:
-                    found = _manifest_stat(os.fstat(handle.fileno()))
-                    blob = handle.read()
-                try:
-                    document = json.loads(blob)
-                except ValueError:
-                    document = None
-                if (isinstance(document, dict)
+                found, blob = read_entry(path)
+                document = entry_manifest(blob)
+                if (document is not None
                         and document.get("spec_hash") == key
                         and document.get("fingerprint") == store.fingerprint):
                     manifest = document
-                    row = found + (f"{document.get('metrics_sha256', '')}",
-                                   f"{document.get('events_sha256', '')}")
+                    row = _entry_stat(found) + (
+                        f"{document.get('metrics_sha256', '')}",
+                        f"{document.get('events_sha256', '')}")
                 else:
-                    row = found + (None, None)
+                    row = _entry_stat(found) + (None, None)
         except OSError:
             continue
         if row[4] is not None:
             hasher.update(f"{key}:{row[4]}:{row[5]}".encode("utf-8"))
             hasher.update(b"\0")
-        yield key, entry_dir, manifest, row
+        yield key, path, manifest, blob, row
 
 
 def corpus_fingerprint(
@@ -176,13 +175,13 @@ def corpus_fingerprint(
     """Digest of the store's indexable content, cheap to recompute.
 
     Hashes the code fingerprint plus every current-version entry's key and
-    recorded artifact digests (manifest reads only — no artifact re-hash),
+    recorded section digests (no section is re-hashed),
     in sorted key order.  Any entry added, removed, replaced or produced by
     other code changes the fingerprint, which is how :func:`index_status`
     detects a stale index.
 
     *snapshot* (the index's trusted ``entry_stat`` rows) spares the
-    manifest reads of entries whose stat it matches; the value is the same
+    reads of the entry files whose stat it matches; the value is the same
     as the full walk's, which an empty snapshot is.
     """
     hasher = hashlib.sha256()
@@ -305,10 +304,10 @@ def build_index(
     The index is written to ``<path>.tmp`` and atomically renamed into
     place, so a concurrent reader never sees a half-built index.
 
-    The store is walked exactly once: each entry's manifest is read once
-    (feeding the corpus fingerprint, the entry's ``entry_stat`` row and
-    the store's entry check), and the check reads and verifies each
-    artifact once.  Rows come only from entries that check passes, in
+    The store is walked exactly once: each entry file is opened and read
+    once, and its manifest decoded once (feeding the corpus fingerprint,
+    the entry's ``entry_stat`` row and the store's entry check), and the
+    check verifies the bytes the walk read.  Rows come only from entries that check passes, in
     ascending key order, and are built from what it verified — its
     decoded metrics member and its spec text into the entry's row, the
     event stream into its :func:`summarise_stream` summary.
@@ -324,11 +323,13 @@ def build_index(
     stat_rows: List[Tuple[Any, ...]] = []
     columns: List[str] = ["key"]
     seen = {"key"}
-    for key, entry_dir, manifest, stat_row in _walk_manifests(store, hasher):
+    for key, entry_path, manifest, blob, stat_row in _walk_manifests(
+            store, hasher):
         stat_rows.append((key,) + stat_row)
         if manifest is None:
             continue
-        _, problems, verified = store.check_entry(key, entry_dir, manifest)
+        _, problems, verified = store.check_entry(key, entry_path, blob,
+                                                  manifest)
         if problems:
             continue
         _, events_blob, metrics, spec_text = verified
@@ -445,8 +446,8 @@ def _snapshot(
     """The ``entry_stat`` rows the freshness check may trust.
 
     None unless the index was built by the running code (whether an entry
-    counts depends on the code fingerprint), and only rows whose manifest
-    ctime is older than the index file's mtime *built_ns*: a manifest
+    counts depends on the code fingerprint), and only rows whose entry
+    file's ctime is older than the index file's mtime *built_ns*: an entry
     rewritten within the build's timestamp tick could keep its stat, so
     it is read again (git's racy-entry rule).  An index without the table
     trusts nothing.

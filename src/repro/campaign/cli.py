@@ -70,6 +70,7 @@ from repro.campaign.registry import (
 from repro.campaign.spec import (
     ScenarioSpec,
     SpecError,
+    ValidatedSpec,
     load_spec_dir,
     load_spec_file,
     parse_matrix_axis,
@@ -658,6 +659,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_run_args(args)
     if spec is None:
         return 2
+    # Every source of the spec validated it; the run does not again.
+    spec = ValidatedSpec.copy_of(spec)
     # Events are streamed live over the observability bus while the
     # simulation runs, never materialized in memory; without --events-out
     # nothing reads them, so none is encoded (a store fill encodes its own).

@@ -19,8 +19,8 @@ re-encodes them: the store files them as they are, and ``events`` is a
 read-only view that decodes them only when something reads it.
 
 The run document (``{"spec", "metrics"}``) has one form too: the text
-:meth:`RunResult.metrics_json` returns, a store hit's verified
-``metrics.json`` or, for a fresh run, encoded once and shared by
+:meth:`RunResult.metrics_json` returns, a store hit's verified metrics
+section or, for a fresh run, encoded once and shared by
 ``store.put`` and the sweep's ``aggregate.json``.
 """
 
@@ -153,24 +153,37 @@ def write_whole_file(path: str, blob: bytes) -> None:
 _NOT_NUMERIC = frozenset((bool, str, list, type(None)))
 
 
-def flatten_numeric(document: Mapping[str, Any], prefix: str = "") -> Dict[str, float]:
-    """Flatten nested dicts to dotted keys, keeping numeric leaves only."""
-    flat: Dict[str, float] = {}
+def _collect_numeric(document: Mapping[str, Any], prefix: str,
+                     flat: Dict[str, Any]) -> None:
+    """Set ``flat[<dotted key>]`` for each numeric leaf of *document*.
+
+    The one walk over a metrics document.  Leaves are visited in document
+    order, so where two paths flatten to one dotted key the later leaf
+    wins.  A leaf of exact type ``int`` or ``float`` is stored as it is
+    (adding it to a float sum is adding its ``float()``); any other
+    number is stored as its ``float()``.
+    """
     for key, value in document.items():
         # Decoded JSON holds values of exact types: sort those out before
         # the ABC checks, each of which costs a typing-machinery call.
         kind = type(value)
         if kind is int or kind is float:
-            flat[f"{prefix}{key}"] = float(value)
+            flat[f"{prefix}{key}"] = value
         elif kind is dict:
-            flat.update(flatten_numeric(value, prefix=f"{prefix}{key}."))
+            _collect_numeric(value, f"{prefix}{key}.", flat)
         elif kind in _NOT_NUMERIC:
             continue
         elif isinstance(value, (int, float)):
             flat[f"{prefix}{key}"] = float(value)
         elif isinstance(value, Mapping):
-            flat.update(flatten_numeric(value, prefix=f"{prefix}{key}."))
-    return flat
+            _collect_numeric(value, f"{prefix}{key}.", flat)
+
+
+def flatten_numeric(document: Mapping[str, Any], prefix: str = "") -> Dict[str, float]:
+    """Flatten nested dicts to dotted keys, keeping numeric leaves only."""
+    flat: Dict[str, Any] = {}
+    _collect_numeric(document, prefix, flat)
+    return {key: float(value) for key, value in flat.items()}
 
 
 def aggregate_metrics(results: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
@@ -179,14 +192,18 @@ def aggregate_metrics(results: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     *results* are per-run ``metrics`` dicts.  Keys missing from some runs
     contribute only to the runs that have them (means divide by occurrence
     count, not by batch size), so heterogeneous scenario mixes aggregate
-    sensibly.
+    sensibly.  Each run is walked once into one flat dict, whose leaves
+    are added straight into the sums.
     """
     totals: Dict[str, float] = {}
     counts: Dict[str, int] = {}
     run_count = 0
+    flat: Dict[str, Any] = {}
     for metrics in results:
         run_count += 1
-        for key, value in flatten_numeric(metrics).items():
+        flat.clear()
+        _collect_numeric(metrics, "", flat)
+        for key, value in flat.items():
             totals[key] = totals.get(key, 0.0) + value
             counts[key] = counts.get(key, 0) + 1
     means = {key: totals[key] / counts[key] for key in totals}

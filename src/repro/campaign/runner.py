@@ -47,7 +47,7 @@ from typing import IO, TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
 from repro.campaign.metrics import RunResult
 from repro.campaign.registry import build_scenario
-from repro.campaign.spec import ScenarioSpec
+from repro.campaign.spec import ScenarioSpec, ValidatedSpec
 from repro.obs.sinks import JsonlStreamSink
 from repro.sweep.hooks import NULL_TELEMETRY, chaos_point, tag_phase
 from repro.sysc.kernel import Simulator
@@ -68,6 +68,10 @@ def run_spec(
     budget: Optional[Any] = None,
 ) -> RunResult:
     """Run one scenario and return its structured result.
+
+    *spec* is validated first — an invalid one raises
+    :class:`~repro.campaign.spec.SpecError` — unless it is a
+    :class:`~repro.campaign.spec.ValidatedSpec`, which its caller checked.
 
     With a grid :class:`~repro.grid.store.ResultStore` attached via *store*,
     the run is served from the cache when a verified entry for the spec
@@ -94,7 +98,11 @@ def run_spec(
     cleanup path still closes sinks and the simulator, and a cancelled
     run is never stored.
     """
-    spec.validate()
+    if spec.__class__ is not ValidatedSpec:
+        # The one validation of a run, unless the caller already made it
+        # (the sweep's plan, ``repro run``'s loader); the build composes
+        # the validated copy without checking it again.
+        spec = ValidatedSpec.copy_of(spec.validate())
     if store is not None and not refresh and not sinks:
         with telemetry.span("lookup", scenario=spec.name):
             hit = store.lookup(spec)

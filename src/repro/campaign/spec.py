@@ -307,7 +307,8 @@ class ScenarioSpec:
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
         """A copy with *overrides* applied; a key that is not a spec field
-        goes into ``extra``, as a workload knob (see :meth:`validate`)."""
+        goes into ``extra``, as a workload knob (see :meth:`validate`).
+        The copy is a plain, unvalidated :class:`ScenarioSpec`."""
         values = {name: getattr(self, name) for name in self.FIELDS}
         extra = {}
         for key, value in overrides.items():
@@ -315,10 +316,37 @@ class ScenarioSpec:
                 values[key] = value
             else:
                 extra[key] = value
-        spec = type(self)(**values)
+        spec = ScenarioSpec(**values)
         if extra:
             spec.extra = {**self.extra, **extra}
         return spec
+
+
+class ValidatedSpec(ScenarioSpec):
+    """A private copy of a spec that passed :meth:`ScenarioSpec.validate`.
+
+    :func:`repro.campaign.runner.run_spec` and
+    :func:`repro.workload.components.compose` validate every spec they are
+    handed except one of this class.  Whoever validated a spec upstream —
+    the sweep where it plans its runs, ``repro run`` where it loads its
+    spec, ``run_spec`` itself before it builds — hands the run a copy of
+    this class: each fresh run validates once, and no later change to the
+    caller's spec object can reach a run unchecked.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def copy_of(cls, spec: ScenarioSpec) -> "ValidatedSpec":
+        """A copy of *spec*, which the caller has validated, as
+        :meth:`ScenarioSpec.to_dict` copies it: ``priorities`` and
+        ``extra`` are new containers."""
+        copy = cls.__new__(cls)
+        for name in cls.FIELDS:
+            setattr(copy, name, getattr(spec, name))
+        copy.priorities = list(spec.priorities)
+        copy.extra = dict(spec.extra)
+        return copy
 
 
 # ----------------------------------------------------------------------

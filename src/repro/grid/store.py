@@ -11,56 +11,69 @@ artifacts byte-identically instead of re-simulating.
 Layout (two-level fan-out keeps directories small at millions of entries)::
 
     <root>/
-      .staging/                 in-flight artifacts (atomically renamed in)
-      ab/ab12…ef/               one entry per spec hash
-        manifest.json           schema, spec hash, code fingerprint, digests
-        metrics.json            canonical deterministic metrics document
-        events.jsonl            the run's sched-topic event stream
+      .staging/                 in-flight entry files (atomically renamed in)
+      ab/ab12…ef                one regular file per spec hash
+
+An entry file holds three sections back to back: the *manifest* — one
+line of canonical JSON with the schema, spec hash, code fingerprint and
+each section's length and SHA-256 — then the run document (the
+*metrics* section, ``{"metrics":M,"spec":S}`` plus a newline), then the
+run's ``sched`` event stream as JSONL (the *events* section).  This
+module is the only one that knows the format: other modules name an
+entry by its path and a section by name (:func:`read_entry`,
+:func:`section_span`).
 
 Integrity: one check, :meth:`ResultStore.check_entry`, decides whether
 an entry can be served, and every reader asks it: ``lookup``, ``stats``,
 ``verify``, ``gc`` and the analytics index build.  An entry passes when
-its manifest parses, carries the current schema, names its own key and
-the running *code fingerprint* (a digest of the ``repro`` package
+its manifest line parses, carries the current schema, names its own key
+and the running *code fingerprint* (a digest of the ``repro`` package
 sources — results produced by different code never leak across
-versions), both artifacts match their recorded SHA-256 digests, and
-``metrics.json`` is the run document ``{"metrics":M,"spec":S}`` plus a
-newline, where M is an object and the SHA-256 of S is the key.  The check
-needs no spec in hand, so it judges an entry whose spec nobody holds the
-same way a lookup does.  Anything less — a truncated write, a poisoned
-file, a forged or malformed run document, a stale version — is a silent
-miss on every path: the run is recomputed and its entry overwritten,
-``verify`` names the entry and ``--repair`` quarantines it, and ``gc()``
-sweeps it.
+versions), the manifest line plus ``metrics_bytes`` plus ``events_bytes``
+is the file's size, both sections match their recorded SHA-256 digests,
+and the metrics section is the run document, where M is an object and the
+SHA-256 of S is the key.  The check needs no spec in hand, so it judges an
+entry whose spec nobody holds the same way a lookup does.  Anything less —
+a truncated write, trailing bytes, a poisoned section, a forged or
+malformed run document, a stale version — is a silent miss on every path:
+the run is recomputed and its entry overwritten, ``verify`` names the
+entry and ``--repair`` quarantines it, and ``gc()`` sweeps it.  A
+directory under a fan-out directory is an entry of the directory layout
+that ``repro-grid-store/1`` wrote (three files per entry): it is a miss,
+``stats`` counts it stale, ``verify`` names it, ``--repair`` quarantines
+it, ``gc`` removes it and a ``put`` of its key replaces it.
 
-Read contract: the verified bytes are the served bytes.  The check reads
-each of the entry's three files once, in full; it hashes exactly those
-bytes and decodes the run document's ``metrics`` member once, with
-``raw_decode`` where canonical key order puts it first, and it hands the
-verified text, stream bytes, metrics member and spec text back.  A lookup
-is the check plus building the :class:`StoredResult` from them, whose
-``spec`` is the document the lookup hashed; replay only hands those out
-and never reopens a file, so a file rewritten after the check cannot leak
-into a hit.  Hits never re-encode: a hit's ``metrics_json()`` is the
-verified ``metrics.json`` text, spliced into ``aggregate.json`` as it is,
-and the stored JSONL reaches ``--out`` as the same bytes.  Event lines
-are decoded only when a caller reads them — ``RunResult.events`` or the
-index build (:func:`repro.analytics.corpus.build_index`, whose rows come
-from what the check verified).  Both decode the verified bytes through
-:func:`repro.obs.replay.decode_stored_jsonl`, one ``json.loads`` per
-batch of lines, never one per line.  An event count is the line count of
-the verified stream bytes, not the manifest's ``events_lines``, which no
-digest covers.
+Read contract: the verified bytes are the served bytes.  The check opens
+the entry file once and reads it once, in full; it hashes exactly those
+bytes and decodes the manifest line with ``json.loads`` and the run
+document's ``metrics`` member once, with ``raw_decode`` where canonical
+key order puts it first, and it hands the verified text, stream bytes,
+metrics member and spec text back.  A lookup is the check plus building
+the :class:`StoredResult` from them, whose ``spec`` is the document the
+lookup hashed; replay only hands those out and never reopens the file, so
+a file rewritten after the check cannot leak into a hit.  Hits never
+re-encode: a hit's ``metrics_json()`` is the verified metrics section,
+spliced into ``aggregate.json`` as it is, and the stored JSONL reaches
+``--out`` as the same bytes.  Event lines are decoded only when a caller
+reads them — ``RunResult.events`` or the index build
+(:func:`repro.analytics.corpus.build_index`, whose rows come from what the
+check verified, and which hands the check the bytes it read).  Both decode
+the verified bytes through :func:`repro.obs.replay.decode_stored_jsonl`,
+one ``json.loads`` per batch of lines, never one per line.  An event count
+is the line count of the verified stream bytes, not the manifest's
+``events_lines``, which no digest covers.
 
 Write contract: the stream has one form from the bus to the store.
 ``put(run, events_jsonl)`` takes the run's stream as the canonical JSONL
 bytes the run's streaming encoder wrote — the bytes a collected run
 keeps, or the artifact file a streamed run wrote — and files them as they
-are: one write, digested from the bytes in hand, with no decode and no
-re-encode; ``metrics.json`` is the run's ``metrics_json()``, the text the
-sweep's outputs reuse.  Each entry is written to ``.staging`` first and
-atomically renamed into place, so an interrupted sweep never leaves a
-half-entry that a resumed sweep could mistake for a result.
+are, digested from the bytes in hand, with no decode and no re-encode;
+the metrics section is the run's ``metrics_json()``, the text the sweep's
+outputs reuse.  The whole entry is one write into one new file under
+``.staging``, then one ``os.replace`` onto the entry path, which is atomic
+whether or not an entry exists there: an interrupted sweep never leaves a
+half-entry that a resumed sweep could mistake for a result, and a reader
+never finds the key without an entry while it is rewritten.
 """
 
 from __future__ import annotations
@@ -80,7 +93,7 @@ from repro.grid.errors import GridError  # re-exported
 from repro.obs.bus import canonical_json
 
 #: Schema identifier of store entries; bump on incompatible layout changes.
-STORE_SCHEMA = "repro-grid-store/1"
+STORE_SCHEMA = "repro-grid-store/2"
 
 
 # ----------------------------------------------------------------------
@@ -120,9 +133,12 @@ def _count_lines(blob: bytes) -> int:
     return blob.count(b"\n") + (1 if blob and not blob.endswith(b"\n") else 0)
 
 
-#: The two digest-checked artifacts of an entry and their manifest keys.
-_ARTIFACTS = (("metrics.json", "metrics_sha256"),
-              ("events.jsonl", "events_sha256"))
+# ----------------------------------------------------------------------
+# The entry file
+# ----------------------------------------------------------------------
+#: The sections of an entry file, in file order; each section after the
+#: manifest line has its length and digest recorded in the manifest.
+SECTIONS = ("manifest", "metrics", "events")
 
 #: A stored run document is ``canonical_json({"metrics": M, "spec": S})``
 #: plus a newline: the text of M follows ``_METRICS_PREFIX``, and the text
@@ -133,10 +149,64 @@ _SPEC_CLOSE = '}\n'
 
 _DECODER = json.JSONDecoder()
 
+#: The problem :meth:`ResultStore.check_entry` reports for a directory
+#: where an entry file belongs.
+_DIRECTORY_ENTRY = "a directory: an entry of the repro-grid-store/1 layout"
+
 #: What :meth:`ResultStore.check_entry` verified of a servable entry: the
-#: ``metrics.json`` text, the ``events.jsonl`` bytes, the decoded
+#: metrics section's text, the events section's bytes, the decoded
 #: ``metrics`` member and the text of the ``spec`` member.
 Verified = Tuple[str, bytes, Dict[str, Any], str]
+
+
+def read_entry(path: str) -> Tuple[os.stat_result, bytes]:
+    """``(stat, blob)`` of the entry file at *path*: one open, one
+    ``fstat`` of that handle and one read of the whole file.
+
+    Raises :class:`OSError` when there is no file to read, such as
+    :class:`IsADirectoryError` for an entry of the directory layout.
+    """
+    with open(path, "rb", buffering=0) as handle:
+        return os.fstat(handle.fileno()), handle.read()
+
+
+def entry_manifest(blob: bytes) -> Optional[Dict[str, Any]]:
+    """The manifest of the entry bytes *blob*: its first line decoded, or
+    ``None`` when that line is not a JSON object."""
+    end = blob.find(b"\n")
+    try:
+        manifest = json.loads(blob[:end]) if end >= 0 else None
+    except (ValueError, RecursionError):
+        return None
+    return manifest if isinstance(manifest, dict) else None
+
+
+def section_span(path: str, section: str) -> Optional[Tuple[int, int]]:
+    """``(offset, length)`` of *section* (one of :data:`SECTIONS`) in the
+    entry file at *path*, or ``None`` when the file holds no entry whose
+    recorded section lengths fill it exactly."""
+    try:
+        _, blob = read_entry(path)
+    except OSError:
+        return None
+    manifest = entry_manifest(blob)
+    if manifest is None:
+        return None
+    lengths = (blob.find(b"\n") + 1, manifest.get("metrics_bytes"),
+               manifest.get("events_bytes"))
+    if not (all(type(length) is int and length >= 0 for length in lengths)
+            and sum(lengths) == len(blob)):
+        return None
+    index = SECTIONS.index(section)
+    return sum(lengths[:index]), lengths[index]
+
+
+def _remove(path: str) -> None:
+    """Remove the entry at *path*, a file or a directory-layout entry."""
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    else:
+        os.remove(path)
 
 
 # ----------------------------------------------------------------------
@@ -145,21 +215,21 @@ Verified = Tuple[str, bytes, Dict[str, Any], str]
 class StoredResult:
     """A verified cache entry, holding what the entry check verified.
 
-    ``metrics_text`` and ``events_blob`` are the exact artifacts whose
+    ``metrics_text`` and ``events_blob`` are the exact sections whose
     digests matched the manifest (or, for a fresh ``put``, what was just
     written), and ``metrics`` the run document's decoded ``metrics``
-    member; every read below serves them instead of reopening the entry's
-    files.  ``spec`` is the spec document the entry's key was hashed from.
+    member; every read below serves them instead of reopening the entry
+    file.  ``spec`` is the spec document the entry's key was hashed from.
     """
 
-    __slots__ = ("key", "entry_dir", "manifest", "spec", "metrics",
+    __slots__ = ("key", "path", "manifest", "spec", "metrics",
                  "metrics_text", "events_blob")
 
-    def __init__(self, key: str, entry_dir: str, manifest: Dict[str, Any],
+    def __init__(self, key: str, path: str, manifest: Dict[str, Any],
                  spec: Dict[str, Any], metrics: Dict[str, Any],
                  metrics_text: str, events_blob: bytes):
         self.key = key
-        self.entry_dir = entry_dir
+        self.path = path
         self.manifest = manifest
         self.spec = spec
         self.metrics = metrics
@@ -241,16 +311,11 @@ class ResultStore:
         os.makedirs(self.root, exist_ok=True)
 
     # -- paths -------------------------------------------------------------
-    def entry_dir(self, key: str) -> str:
-        """Directory of the entry for cache key *key*."""
-        # Plain joins: the root is absolute and a key is hex, and a hit
-        # builds this and three file paths.
+    def entry_path(self, key: str) -> str:
+        """Path of the entry file for cache key *key*."""
+        # Plain joins: the root is absolute and a key is hex, and every
+        # lookup builds one.
         return f"{self.root}{os.sep}{key[:2]}{os.sep}{key}"
-
-    def _staging_dir(self) -> str:
-        staging = os.path.join(self.root, ".staging")
-        os.makedirs(staging, exist_ok=True)
-        return staging
 
     # -- lookup ------------------------------------------------------------
     def lookup(self, spec: "Union[ScenarioSpec, Mapping[str, Any]]") -> Optional[StoredResult]:
@@ -262,16 +327,16 @@ class ResultStore:
         """
         document = spec.to_dict() if isinstance(spec, ScenarioSpec) else dict(spec)
         key = spec_hash_from_document(document)
-        entry_dir = self.entry_dir(key)
-        manifest, problems, verified = self.check_entry(key, entry_dir)
+        path = self.entry_path(key)
+        manifest, problems, verified = self.check_entry(key, path)
         if problems:
             return None
         metrics_text, events_blob, metrics, _ = verified
-        return StoredResult(key, entry_dir, manifest, document, metrics,
+        return StoredResult(key, path, manifest, document, metrics,
                             metrics_text, events_blob)
 
     def check_entry(
-        self, key: str, entry_dir: str,
+        self, key: str, path: str, blob: Optional[bytes] = None,
         manifest: Optional[Dict[str, Any]] = None,
     ) -> Tuple[Optional[Dict[str, Any]], List[str], Optional[Verified]]:
         """The one servability check: ``(manifest, problems, verified)``.
@@ -279,24 +344,32 @@ class ResultStore:
         An empty problem list means the entry is servable, and *verified*
         holds what was verified (see :data:`Verified`); otherwise each
         string names one failure and *verified* is ``None``.  The manifest
-        is returned whenever it parses to an object, so callers can tell a
-        stale entry from a corrupt one and name the scenario they discard.
-        A caller that has already read the manifest passes it as
-        *manifest*; otherwise it is read here.  Each file is read once, in
-        full and unbuffered, and the returned artifacts are exactly the
-        bytes whose digests were compared.
+        is returned whenever its line parses to an object, so callers can
+        tell a stale entry from a corrupt one and name the scenario they
+        discard.  A caller that has already read the entry file (with
+        :func:`read_entry`) passes its bytes as *blob*, and its
+        :func:`entry_manifest` as *manifest*; otherwise the file is opened
+        once and read once, in full and unbuffered, here.  The returned
+        sections are exactly the bytes whose digests were compared.
         """
+        if blob is None:
+            try:
+                with open(path, "rb", buffering=0) as handle:
+                    blob = handle.read()
+            except IsADirectoryError:
+                return None, [_DIRECTORY_ENTRY], None
+            except OSError as error:
+                return None, [f"unreadable entry: {error}"], None
+        # The manifest line, the sections' lengths and digests and the run
+        # document are checked inline: a hit makes no call it can spare.
+        header = blob.find(b"\n") + 1
         if manifest is None:
             try:
-                with open(f"{entry_dir}{os.sep}manifest.json", "rb",
-                          buffering=0) as handle:
-                    manifest = json.loads(handle.read())
-            except OSError as error:
-                return None, [f"unreadable manifest: {error}"], None
-            except (ValueError, RecursionError) as error:
-                return None, [f"corrupt manifest: {error}"], None
+                manifest = json.loads(blob[:header]) if header else None
+            except (ValueError, RecursionError):
+                manifest = None
             if not isinstance(manifest, dict):
-                return None, ["manifest is not a JSON object"], None
+                return None, ["the manifest line is not a JSON object"], None
         problems: List[str] = []
         if manifest.get("schema") != STORE_SCHEMA:
             problems.append(
@@ -306,24 +379,27 @@ class ResultStore:
             problems.append("spec_hash does not match the entry key")
         if manifest.get("fingerprint") != self.fingerprint:
             problems.append("code fingerprint mismatch (stale entry)")
-        blobs: Dict[str, bytes] = {}
-        for artifact, digest_key in _ARTIFACTS:
-            try:
-                with open(f"{entry_dir}{os.sep}{artifact}", "rb",
-                          buffering=0) as handle:
-                    blob = handle.read()
-            except OSError:
-                problems.append(f"{artifact} missing or unreadable")
-                continue
-            if hashlib.sha256(blob).hexdigest() != manifest.get(digest_key):
-                problems.append(f"{artifact} digest mismatch")
-            blobs[artifact] = blob
+        metrics_bytes = manifest.get("metrics_bytes")
+        events_bytes = manifest.get("events_bytes")
+        if not (type(metrics_bytes) is int and type(events_bytes) is int
+                and metrics_bytes >= 0 and events_bytes >= 0
+                and header + metrics_bytes + events_bytes == len(blob)):
+            problems.append(f"the sections do not fill the {len(blob)}-byte "
+                            f"entry file as the manifest records")
+            return manifest, problems, None
+        split = header + metrics_bytes
+        metrics_blob = blob[header:split]
+        events_blob = blob[split:]
+        if hashlib.sha256(metrics_blob).hexdigest() != manifest.get("metrics_sha256"):
+            problems.append("metrics digest mismatch")
+        if hashlib.sha256(events_blob).hexdigest() != manifest.get("events_sha256"):
+            problems.append("events digest mismatch")
         if problems:
             return manifest, problems, None
         # The run document: the metrics member must be an object filling
         # exactly the span up to the spec member, which must hash to the key.
         try:
-            text = blobs["metrics.json"].decode("utf-8")
+            text = metrics_blob.decode("utf-8")
             metrics, end = _DECODER.raw_decode(text, len(_METRICS_PREFIX))
             if not (isinstance(metrics, dict)
                     and text.startswith(_METRICS_PREFIX)
@@ -331,38 +407,28 @@ class ResultStore:
                     and text.endswith(_SPEC_CLOSE)):
                 raise ValueError
         except (ValueError, RecursionError):
-            return manifest, ["metrics.json is not a run document"], None
+            return manifest, ["the metrics section is not a run document"], None
         spec_text = text[end + len(_SPEC_OPEN):-len(_SPEC_CLOSE)]
         if hashlib.sha256(spec_text.encode("utf-8")).hexdigest() != key:
-            return manifest, ["metrics.json spec does not hash to the key"], None
-        return manifest, problems, (text, blobs["events.jsonl"], metrics,
-                                    spec_text)
+            return manifest, ["the stored spec does not hash to the key"], None
+        return manifest, problems, (text, events_blob, metrics, spec_text)
 
     # -- writing -----------------------------------------------------------
     def put(self, run: RunResult, events_jsonl: bytes) -> StoredResult:
         """Store one run's deterministic artifacts; returns the new entry.
 
-        ``metrics.json`` is the *run*'s ``metrics_json()`` text and
-        *events_jsonl*, the run's canonical JSONL stream, is written to the
-        entry as it is.  An existing entry for the same key is atomically
-        replaced.
+        The metrics section is the *run*'s ``metrics_json()`` text and
+        *events_jsonl*, the run's canonical JSONL stream, is the events
+        section as it is.  The entry file is written once under
+        ``.staging`` and renamed onto the entry path, which atomically
+        replaces an existing entry for the same key.
         """
         spec_document = run.spec
         key = spec_hash_from_document(spec_document)
-        staging = os.path.join(self._staging_dir(), f"{key}.{os.getpid()}.entry")
-        if os.path.isdir(staging):
-            shutil.rmtree(staging)
-        os.makedirs(staging)
-
-        # Each artifact lands in ONE write, with its digest computed from
-        # the very bytes written — no re-read pass.
+        # Each section's digest is computed from the very bytes written —
+        # no re-read pass.
         metrics_text = run.metrics_json() + "\n"
         metrics_blob = metrics_text.encode("utf-8")
-        for name, blob in (("metrics.json", metrics_blob),
-                           ("events.jsonl", events_jsonl)):
-            with open(os.path.join(staging, name), "wb") as handle:
-                handle.write(blob)
-
         manifest = {
             "schema": STORE_SCHEMA,
             "spec_hash": key,
@@ -375,35 +441,39 @@ class ResultStore:
             "metrics_bytes": len(metrics_blob),
             "metrics_sha256": hashlib.sha256(metrics_blob).hexdigest(),
         }
-        with open(os.path.join(staging, "manifest.json"), "wb") as handle:
-            handle.write((canonical_json(manifest) + "\n").encode("utf-8"))
-
-        entry_dir = self.entry_dir(key)
-        os.makedirs(os.path.dirname(entry_dir), exist_ok=True)
+        header = (canonical_json(manifest) + "\n").encode("utf-8")
+        staging = f"{self.root}{os.sep}.staging{os.sep}{key}.{os.getpid()}"
         try:
-            # Atomic when no entry exists yet — the common case.
-            os.replace(staging, entry_dir)
-        except OSError:
-            # Replacing an existing entry, or a concurrent writer landed
-            # first.  Content addressing makes every winner equivalent, so
-            # clear and retry once; if another writer beats us again, keep
-            # theirs and drop our redundant staging copy.
-            shutil.rmtree(entry_dir, ignore_errors=True)
-            try:
-                os.replace(staging, entry_dir)
-            except OSError:
-                shutil.rmtree(staging, ignore_errors=True)
-        return StoredResult(key, entry_dir, manifest, spec_document,
+            handle = open(staging, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(staging), exist_ok=True)
+            handle = open(staging, "wb")
+        with handle:
+            handle.write(b"".join((header, metrics_blob, events_jsonl)))
+
+        path = self.entry_path(key)
+        try:
+            os.replace(staging, path)
+        except FileNotFoundError:
+            # The entry's fan-out directory does not exist yet.
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            os.replace(staging, path)
+        except IsADirectoryError:
+            # An entry of the directory layout holds the key.
+            shutil.rmtree(path, ignore_errors=True)
+            os.replace(staging, path)
+        return StoredResult(key, path, manifest, spec_document,
                             run.metrics, metrics_text, events_jsonl)
 
     # -- maintenance -------------------------------------------------------
-    def _entry_dirs(self) -> List[Tuple[str, str]]:
-        """``(key, entry_dir)`` of every entry, in ascending key order.
+    def entries(self) -> List[Tuple[str, str]]:
+        """``(key, path)`` of every entry, in ascending key order.
 
         The store's one walk: stats, verify, gc, clear, ``len``
         and the analytics index build and freshness check all list entries
-        here.  ``os.scandir`` answers "is it a directory" from the listing
-        itself on most file systems, without a ``stat`` per entry.
+        here.  An entry is every name in a fan-out directory that does not
+        start with a dot (editor droppings such as ``.DS_Store`` are not
+        entries), files and directory-layout entries alike.
         """
         entries: List[Tuple[str, str]] = []
         with os.scandir(self.root) as listing:
@@ -413,11 +483,9 @@ class ResultStore:
             )
         for _, prefix_path in prefixes:
             with os.scandir(prefix_path) as listing:
-                # Stray regular files (editor droppings, interrupted tools)
-                # are not entries; ignoring them keeps stats/gc/clear able
-                # to operate on — and repair — a damaged store.
                 entries.extend(sorted(
-                    (item.name, item.path) for item in listing if item.is_dir()
+                    (item.name, item.path) for item in listing
+                    if not item.name.startswith(".")
                 ))
         return entries
 
@@ -425,30 +493,34 @@ class ResultStore:
         """Inventory of the store: entry health, sizes, per-scenario counts.
 
         ``events_lines`` counts the lines of the valid entries' verified
-        streams.  A failing entry is *stale* when its manifest parses and
-        names its own key but carries another code fingerprint or schema
-        (other code wrote it), and *corrupt* otherwise.
+        streams.  A failing entry is *stale* when other code wrote it: a
+        directory-layout entry, or a manifest that parses and names its own
+        key but carries another code fingerprint or schema; it is
+        *corrupt* otherwise.
         """
         valid = stale = corrupt = 0
         total_bytes = 0
         events_lines = 0
         scenarios: Dict[str, int] = {}
-        for key, entry_dir in self._entry_dirs():
-            for name in os.listdir(entry_dir):
-                try:
-                    total_bytes += os.path.getsize(os.path.join(entry_dir, name))
-                except OSError:
-                    pass
-            manifest, problems, verified = self.check_entry(key, entry_dir)
+        for key, path in self.entries():
+            manifest, problems, verified = self.check_entry(key, path)
+            try:
+                if problems == [_DIRECTORY_ENTRY]:
+                    for name in os.listdir(path):
+                        total_bytes += os.path.getsize(os.path.join(path, name))
+                else:
+                    total_bytes += os.path.getsize(path)
+            except OSError:
+                pass
             if not problems:
                 valid += 1
                 events_lines += _count_lines(verified[1])
                 scenario = manifest.get("scenario", "")
                 scenarios[scenario] = scenarios.get(scenario, 0) + 1
-            elif manifest is not None and manifest.get("spec_hash") == key and (
-                manifest.get("fingerprint") != self.fingerprint
-                or manifest.get("schema") != STORE_SCHEMA
-            ):
+            elif problems == [_DIRECTORY_ENTRY] or (
+                manifest is not None and manifest.get("spec_hash") == key and (
+                    manifest.get("fingerprint") != self.fingerprint
+                    or manifest.get("schema") != STORE_SCHEMA)):
                 stale += 1
             else:
                 corrupt += 1
@@ -480,9 +552,9 @@ class ResultStore:
         """
         bad: List[Dict[str, Any]] = []
         checked = 0
-        for key, entry_dir in self._entry_dirs():
+        for key, path in self.entries():
             checked += 1
-            manifest, problems, _ = self.check_entry(key, entry_dir)
+            manifest, problems, _ = self.check_entry(key, path)
             if not problems:
                 continue
             scenario = "" if manifest is None else manifest.get("scenario", "")
@@ -493,25 +565,20 @@ class ResultStore:
             quarantine_root = self.quarantine_dir()
             os.makedirs(quarantine_root, exist_ok=True)
             for item in bad:
-                entry_dir = self.entry_dir(item["key"])
                 destination = os.path.join(quarantine_root, item["key"])
-                shutil.rmtree(destination, ignore_errors=True)
-                shutil.move(entry_dir, destination)
+                if os.path.lexists(destination):
+                    _remove(destination)
+                shutil.move(self.entry_path(item["key"]), destination)
                 quarantined += 1
-            # Fan-out directories emptied by the moves.
-            for prefix in os.listdir(self.root):
-                path = os.path.join(self.root, prefix)
-                if (not prefix.startswith(".") and os.path.isdir(path)
-                        and not os.listdir(path)):
-                    os.rmdir(path)
+            self._remove_empty_prefixes()
         return {"checked": checked, "bad": bad, "quarantined": quarantined}
 
     def gc(self) -> Dict[str, int]:
         """Drop unusable entries (stale or corrupt) and stray staging files."""
         removed = kept = 0
-        for key, entry_dir in self._entry_dirs():
-            if self.check_entry(key, entry_dir)[1]:
-                shutil.rmtree(entry_dir)
+        for key, path in self.entries():
+            if self.check_entry(key, path)[1]:
+                _remove(path)
                 removed += 1
             else:
                 kept += 1
@@ -519,31 +586,30 @@ class ResultStore:
         staging_removed = 0
         if os.path.isdir(staging):
             for name in os.listdir(staging):
-                path = os.path.join(staging, name)
-                if os.path.isdir(path):
-                    shutil.rmtree(path)
-                else:
-                    os.remove(path)
+                _remove(os.path.join(staging, name))
                 staging_removed += 1
-        # Empty fan-out directories left behind by removals.
+        self._remove_empty_prefixes()
+        return {"removed": removed, "kept": kept, "staging_removed": staging_removed}
+
+    def _remove_empty_prefixes(self) -> None:
+        """Remove the fan-out directories that removals left empty."""
         for prefix in os.listdir(self.root):
             path = os.path.join(self.root, prefix)
             if not prefix.startswith(".") and os.path.isdir(path) and not os.listdir(path):
                 os.rmdir(path)
-        return {"removed": removed, "kept": kept, "staging_removed": staging_removed}
 
     def clear(self) -> int:
         """Remove every entry (and staging residue); returns entries removed."""
         removed = 0
-        for _, entry_dir in self._entry_dirs():
-            shutil.rmtree(entry_dir)
+        for _, path in self.entries():
+            _remove(path)
             removed += 1
         shutil.rmtree(self.quarantine_dir(), ignore_errors=True)
         self.gc()
         return removed
 
     def __len__(self) -> int:
-        return len(self._entry_dirs())
+        return len(self.entries())
 
     def __repr__(self) -> str:
         return f"ResultStore({self.root!r}, entries={len(self)})"

@@ -20,9 +20,11 @@ Fault kinds:
 ``kill-worker``      ``SIGKILL`` the current process — from a pool worker
                      this is the mid-sweep crash the bisection path recovers.
 ``clock-overrun``    sleep past a wall-clock budget (watchdog proof).
-``corrupt-store``    flip a byte of a just-stored artifact (``stored`` phase).
-``torn-write``       truncate a just-stored artifact mid-line, emulating a
-                     process death between ``write`` and ``flush``.
+``corrupt-store``    flip a byte of a section of a just-stored entry
+                     (``stored`` phase).
+``torn-write``       truncate a just-stored entry inside a section, mid-line,
+                     emulating a process death between ``write`` and
+                     ``flush``.
 
 Cross-process "fire once" works without shared memory: a marker file is
 claimed with ``O_CREAT | O_EXCL``, which is atomic on every platform we
@@ -38,6 +40,7 @@ import time
 import zlib
 from typing import Any, Iterator, List, Optional, Sequence
 
+from repro.grid.store import section_span
 from repro.sweep.hooks import install_injector, uninstall_injector
 
 KINDS = (
@@ -69,12 +72,12 @@ class TransientChaosError(RuntimeError):
 class ChaosInjection:
     """One declarative fault: kind + phase + target matchers."""
 
-    __slots__ = ("kind", "phase", "scenario", "index", "seconds", "artifact",
+    __slots__ = ("kind", "phase", "scenario", "index", "seconds", "section",
                  "once_marker")
 
     def __init__(self, kind: str, phase: Optional[str] = None,
                  scenario: Optional[str] = None, index: Optional[int] = None,
-                 seconds: float = 0.05, artifact: str = "events.jsonl",
+                 seconds: float = 0.05, section: str = "events",
                  once_marker: Optional[str] = None):
         if kind not in KINDS:
             raise ValueError(f"unknown chaos kind: {kind!r}")
@@ -88,8 +91,10 @@ class ChaosInjection:
         self.index = index
         #: Sleep duration for ``clock-overrun``.
         self.seconds = seconds
-        #: Store artifact targeted by ``corrupt-store`` / ``torn-write``.
-        self.artifact = artifact
+        #: Entry section (``metrics`` or ``events``, see
+        #: :data:`repro.grid.store.SECTIONS`) that ``corrupt-store`` /
+        #: ``torn-write`` damage.
+        self.section = section
         #: Marker-file path making this injection fire exactly once across
         #: all processes; ``None`` fires on every match.
         self.once_marker = once_marker
@@ -161,26 +166,24 @@ def _apply(injection: ChaosInjection, phase: str, scenario: Optional[str],
         time.sleep(injection.seconds)
         return
     if injection.kind in ("corrupt-store", "torn-write"):
-        entry_dir = info.get("entry_dir")
-        if not entry_dir:
-            return
-        target = os.path.join(entry_dir, injection.artifact)
-        if not os.path.exists(target):
+        path = info.get("entry_path")
+        span = section_span(path, injection.section) if path else None
+        if span is None:
             return
         if injection.kind == "corrupt-store":
-            _flip_byte(target)
+            _flip_byte(path, *span)
         else:
-            _tear(target)
+            _tear(path, *span)
         return
     raise AssertionError(f"unhandled chaos kind {injection.kind!r}")
 
 
-def _flip_byte(path: str) -> None:
-    """Flip one mid-file byte — a silent single-bit-rot stand-in."""
-    size = os.path.getsize(path)
+def _flip_byte(path: str, offset: int, size: int) -> None:
+    """Flip the middle byte of the *size* bytes at *offset* — a silent
+    single-bit-rot stand-in."""
     if size == 0:
         return
-    offset = size // 2
+    offset += size // 2
     with open(path, "r+b") as handle:
         handle.seek(offset)
         original = handle.read(1)
@@ -188,11 +191,11 @@ def _flip_byte(path: str) -> None:
         handle.write(bytes([original[0] ^ 0xFF]))
 
 
-def _tear(path: str) -> None:
-    """Truncate to ~60% — a write that died between buffer and disk."""
-    size = os.path.getsize(path)
+def _tear(path: str, offset: int, size: int) -> None:
+    """Truncate the file ~60% into the *size* bytes at *offset* — a write
+    that died between buffer and disk."""
     with open(path, "r+b") as handle:
-        handle.truncate(max(1, (size * 3) // 5))
+        handle.truncate(offset + max(1, (size * 3) // 5))
 
 
 def choose_index(seed: int, total: int, salt: str = "") -> int:

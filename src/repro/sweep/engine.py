@@ -62,7 +62,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import repro.campaign.runner as runner  # run_spec looked up per run
 from repro.analytics.telemetry import TelemetryRecorder
 from repro.campaign.metrics import RunResult
-from repro.campaign.spec import ScenarioSpec, SpecError
+from repro.campaign.spec import ScenarioSpec, SpecError, ValidatedSpec
 from repro.sweep.envelope import (
     OUTCOME_OK,
     FailureRecord,
@@ -249,9 +249,11 @@ class Sweep:
         """Run every ``(index, spec)`` of *runs*; the sweep's result in
         run-index order.
 
-        Invalid specs quarantine and store hits replay; the misses run in
-        this process on one worker, else grouped over a pool.  *workers*
-        defaults to one per usable core, capped at the number of misses.
+        Each spec is validated here, once: invalid specs quarantine and
+        store hits replay; the misses run in this process on one worker,
+        else grouped over a pool, as :class:`ValidatedSpec` copies that
+        ``run_spec`` does not validate again.  *workers* defaults to one
+        per usable core, capped at the number of misses.
         """
         if self.events_dir is not None:
             os.makedirs(self.events_dir, exist_ok=True)
@@ -275,8 +277,9 @@ class Sweep:
         if workers == 1:
             options = self._options()
             for index, spec in pending:
-                self._ingest([_run_member(spec, index, self.events_paths[index],
-                                          self.policy, options)])
+                self._ingest([_run_member(
+                    ValidatedSpec.copy_of(spec), index,
+                    self.events_paths[index], self.policy, options)])
         else:
             self._run_in_pool(pending, workers)
         indices = sorted(self.slots)
@@ -473,7 +476,7 @@ class Sweep:
                             events_jsonl = handle.read()
                     entry = self.store.put(result, events_jsonl)
                 chaos_point("stored", scenario=scenario, index=index,
-                            entry_dir=entry.entry_dir)
+                            entry_path=entry.path)
                 return None
             except Exception as error:
                 tag_phase(error, "store")
@@ -504,7 +507,7 @@ def _execute_payload(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     """
     policy = ResiliencePolicy.from_dict(payload["policy"])
     return [
-        _run_member(ScenarioSpec.from_dict(document), index, events_path,
+        _run_member(ValidatedSpec.from_dict(document), index, events_path,
                     policy, payload, payload["spent"])
         for index, document, events_path in payload["specs"]
     ]

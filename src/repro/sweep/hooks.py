@@ -35,7 +35,7 @@ def chaos_point(phase: str, scenario: Optional[str] = None,
     Phases used by the execution pipeline: ``build`` (before scenario
     construction), ``run-start`` (before the simulation loop), ``store``
     (before a result-store fill) and ``stored`` (after a fill, with the
-    entry directory in *info*).  With no injector installed — always, in
+    entry file's path as ``entry_path`` in *info*).  With no injector installed — always, in
     production — this returns immediately.
     """
     injector = _INJECTOR

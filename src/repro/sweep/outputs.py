@@ -21,7 +21,7 @@ Both documents are assembled by :func:`write_sweep_documents`, the one
 writer a shard merge (:func:`repro.sweep.shard.merge_shards`) shares.  It
 never encodes the decoded sweep document: each run contributes its
 canonical ``metrics_json()`` text — for a store hit the verified bytes of
-the entry's ``metrics.json``, for a fresh run the text it encoded once
+the entry's metrics section, for a fresh run the text it encoded once
 and shared with ``store.put`` — and the assembler joins those texts with
 the encoded ``aggregate`` and ``campaign`` members in canonical key
 order.  The result is byte for byte ``canonical_json(sweep_document(...))``.

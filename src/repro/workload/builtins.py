@@ -31,7 +31,8 @@ from repro.workload.tasks import install_rtk_tasks, parse_taskset, \
 
 def _knob(spec: ScenarioSpec, name: str) -> Any:
     """The numeric knob *name* of *spec*, set or its row's default, as the
-    row's kind (``ScenarioSpec.validate``, run by ``compose``, checked it)."""
+    row's kind (``ScenarioSpec.validate`` checked it before ``compose``
+    handed the spec over)."""
     kind, default, _ = WORKLOADS[spec.workload][1][name]
     value = spec.extra.get(name, default)
     return value if value is None else kind(value)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.campaign.spec import ScenarioSpec, SpecError
+from repro.campaign.spec import ScenarioSpec, SpecError, ValidatedSpec
 from repro.core.simapi import SimApi
 from repro.sysc.kernel import Simulator
 from repro.sysc.time import SimTime
@@ -171,8 +171,11 @@ class Workload:
 
 
 def compose(spec: ScenarioSpec) -> Workload:
-    """Validate *spec* and return its workload component."""
+    """Validate *spec* and return its workload component; a
+    :class:`~repro.campaign.spec.ValidatedSpec` was validated upstream and
+    is not checked again."""
     from repro.workload.builtins import COMPONENTS
 
-    spec.validate()
+    if spec.__class__ is not ValidatedSpec:
+        spec.validate()
     return COMPONENTS[spec.workload]

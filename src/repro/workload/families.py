@@ -8,6 +8,9 @@ reproducible* :class:`~repro.campaign.spec.ScenarioSpec` members: member
 ``derive_seed(family.seed, i, family.name)`` — no wall clock, no global
 RNG — so the same family document yields byte-identical members (and
 therefore identical ``spec_hash`` cache keys) on every host, forever.
+The draws consume only the generator's ``getrandbits`` and ``random()``
+(see :func:`family_member`), never a ``random.Random`` method whose
+algorithm a Python release may change.
 
 Members are ordinary ``generated``-workload specs: they flow through the
 result store, the sharded sweep executor and ``repro bench`` unchanged.
@@ -244,6 +247,14 @@ def family_member(family: FamilySpec, index: int) -> ScenarioSpec:
     All sampling happens on a member-local ``random.Random`` seeded from
     the family seed, the member index and the family name, so any member
     can be regenerated in isolation without expanding the whole family.
+    Every draw is ``rng.random()`` or one local ``below(n)``, the rejection
+    sampler of ``Random._randbelow_with_getrandbits`` over
+    ``rng.getrandbits``: a choice is ``seq[below(len(seq))]``, an inclusive
+    range ``lo + below(hi - lo + 1)`` and a service mix the pool branch of
+    ``Random.sample``.  The members are byte for byte what ``choice``,
+    ``randint``, ``randrange``, ``uniform`` and ``sample`` drew, and depend
+    only on the generator's raw output, not on those methods' algorithms,
+    which the ``random`` docs allow to change between Python versions.
     The member is not validated here: a sweep validates every run it
     executes.
     """
@@ -253,21 +264,41 @@ def family_member(family: FamilySpec, index: int) -> ScenarioSpec:
             f"got index {index}"
         )
     rng = random.Random(derive_seed(family.seed, index, family.name))
-    kernel = rng.choice(family.kernels)
-    task_count = rng.randint(*family.task_count)
+    getrandbits = rng.getrandbits
+    unit = rng.random
+
+    def below(n: int) -> int:
+        """A uniform int in ``[0, n)``."""
+        if n <= 0:
+            raise SpecError(f"family {family.name!r}: empty choice or range")
+        bits = n.bit_length()
+        drawn = getrandbits(bits)
+        while drawn >= n:
+            drawn = getrandbits(bits)
+        return drawn
+
+    kernels = family.kernels
+    laws = family.laws
+    periods = family.period_choices_ms
+    jobs_low, jobs_high = family.jobs
+    low_utilization, high_utilization = family.utilization
+    kernel = kernels[below(len(kernels))]
+    task_low, task_high = family.task_count
+    task_count = task_low + below(task_high - task_low + 1)
     on_tkernel = kernel == "tkernel"
 
     tasks: List[Dict[str, Any]] = []
     for task_index in range(task_count):
-        law = rng.choice(family.laws)
-        period = rng.choice(family.period_choices_ms)
-        utilization = rng.uniform(*family.utilization)
+        law = laws[below(len(laws))]
+        period = periods[below(len(periods))]
+        utilization = (low_utilization
+                       + (high_utilization - low_utilization) * unit())
         task: Dict[str, Any] = {
             "name": f"t{task_index}",
-            "priority": 5 + rng.randrange(0, 40),
+            "priority": 5 + below(40),
             "execution_ms": max(0.1, round(period * utilization, 3)),
             "law": law,
-            "jobs": rng.randint(*family.jobs),
+            "jobs": jobs_low + below(jobs_high - jobs_low + 1),
         }
         if law in ("periodic", "jittered"):
             task["period_ms"] = period
@@ -277,22 +308,28 @@ def family_member(family: FamilySpec, index: int) -> ScenarioSpec:
             task["min_gap_ms"] = round(period * 0.5, 3)
             task["max_gap_ms"] = round(period * 1.5, 3)
         elif law == "bursty":
-            task["burst_size"] = rng.randint(2, 4)
+            task["burst_size"] = 2 + below(3)
             task["intra_gap_ms"] = round(max(period * 0.1, 0.5), 3)
             task["burst_gap_ms"] = round(period * 2.0, 3)
-        if on_tkernel and rng.random() < family.service_rate:
-            count = rng.randint(1, len(SERVICE_CALLS))
-            task["services"] = rng.sample(SERVICE_CALLS, count)
+        if on_tkernel and unit() < family.service_rate:
+            pool = list(SERVICE_CALLS)
+            size = len(pool)
+            services = []
+            for drawn in range(1 + below(size)):
+                pick = below(size - drawn)
+                services.append(pool[pick])
+                pool[pick] = pool[size - drawn - 1]
+            task["services"] = services
         tasks.append(task)
 
     extra: Dict[str, Any] = {"family": family.name, "member": index, "tasks": tasks}
-    if on_tkernel and rng.random() < family.cyclic_rate:
+    if on_tkernel and unit() < family.cyclic_rate:
         extra["cyclics"] = [{
             "name": "cyc0",
-            "period_ms": int(rng.choice((5, 10, 20))),
-            "execution_us": rng.randrange(50, 250),
+            "period_ms": (5, 10, 20)[below(3)],
+            "execution_us": 50 + below(200),
         }]
-    if on_tkernel and rng.random() < family.rtc_rate:
+    if on_tkernel and unit() < family.rtc_rate:
         extra["platform"] = "rtc"
 
     return ScenarioSpec(

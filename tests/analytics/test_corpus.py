@@ -14,7 +14,6 @@ The acceptance bar for the analytics plane's index layer:
   reports even after a stored stream rots (``cache verify``'s to find).
 """
 
-import json
 import os
 import sqlite3
 
@@ -41,6 +40,7 @@ from repro.sweep.batch import run_batch
 from repro.sweep.plan import plan_shard
 from repro.sweep.shard import merge_shards, run_shard
 from repro.workload.families import FamilySpec, expand_family
+from tests.grid.entry_files import append_bytes, flip_byte, rewrite_entry
 
 FAMILY = FamilySpec(
     name="corpus-family", count=4, seed=21, duration_ms=20.0,
@@ -156,10 +156,9 @@ def _put(store, index, metrics=None, events=b""):
 
 
 def settle(store):
-    """Wait until the file system's clock has passed every manifest's ctime,
-    so an index built afterwards trusts each entry it records."""
-    newest = max(os.stat(os.path.join(entry_dir, "manifest.json")).st_ctime_ns
-                 for _, entry_dir in store._entry_dirs())
+    """Wait until the file system's clock has passed every entry file's
+    ctime, so an index built afterwards trusts each entry it records."""
+    newest = max(os.stat(path).st_ctime_ns for _, path in store.entries())
     probe = os.path.join(os.path.dirname(store.root), "clock-probe")
     os.close(os.open(probe, os.O_WRONLY | os.O_CREAT))
     while os.stat(probe).st_mtime_ns <= newest:
@@ -167,16 +166,19 @@ def settle(store):
     os.remove(probe)
 
 
-def _manifest_reads(store, monkeypatch, action):
-    """Run *action*; return the entry keys whose manifest it opened."""
+def _entry_reads(store, monkeypatch, action):
+    """Run *action*; return the keys of the entry files it opened."""
     import builtins
 
     real_open = builtins.open
     keys = []
+    entry_dir = store.root + os.sep
 
     def counting_open(file, *args, **kwargs):
-        if os.path.basename(str(file)) == "manifest.json":
-            keys.append(os.path.basename(os.path.dirname(str(file))))
+        path = os.path.abspath(str(file))
+        if (path.startswith(entry_dir)
+                and os.path.dirname(os.path.dirname(path)) == store.root):
+            keys.append(os.path.basename(path))
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
@@ -189,13 +191,7 @@ def _manifest_reads(store, monkeypatch, action):
 
 def _rewrite_manifest(store, key, **changes):
     """Edit an entry's manifest in place (same file, new content)."""
-    path = os.path.join(store.entry_dir(key), "manifest.json")
-    with open(path, "r+", encoding="utf-8") as handle:
-        manifest = json.load(handle)
-        manifest.update(changes)
-        handle.seek(0)
-        handle.write(canonical_json(manifest) + "\n")
-        handle.truncate()
+    rewrite_entry(store.entry_path(key), **changes)
 
 
 def _new_put(store, keys):
@@ -219,9 +215,7 @@ def _gc_stale(store, keys):
 
 
 def _verify_repair(store, keys):
-    with open(os.path.join(store.entry_dir(keys[2]), "events.jsonl"),
-              "ab") as handle:
-        handle.write(b"{}\n")
+    append_bytes(store.entry_path(keys[2]), b"{}\n")
     # The corrupt entry and the other code's entry both fail verification.
     assert store.verify(repair=True)["quarantined"] == 2
     return False
@@ -258,8 +252,8 @@ MUTATIONS = {
 
 class TestSnapshotFreshness:
     """Freshness from the index's ``entry_stat`` snapshot: the fingerprint
-    always equals the full manifest walk's, and only entries whose
-    manifest stat moved are read."""
+    always equals the full walk's, and only entries whose file stat moved
+    are read."""
 
     @pytest.fixture
     def store(self, tmp_path):
@@ -275,8 +269,8 @@ class TestSnapshotFreshness:
         store.keys = keys
         return store
 
-    def test_an_unchanged_store_reads_no_manifest(self, store, monkeypatch):
-        status, reads = _manifest_reads(
+    def test_an_unchanged_store_reads_no_entry(self, store, monkeypatch):
+        status, reads = _entry_reads(
             store, monkeypatch, lambda: index_status(store))
         assert status["fresh"] is True and reads == []
         assert status["corpus_fingerprint"] == corpus_fingerprint(store)
@@ -285,7 +279,7 @@ class TestSnapshotFreshness:
     def test_fingerprint_equals_the_full_walk(self, store, mutation,
                                               monkeypatch):
         fresh = MUTATIONS[mutation](store, store.keys)
-        status, reads = _manifest_reads(
+        status, reads = _entry_reads(
             store, monkeypatch, lambda: index_status(store))
         assert status["corpus_fingerprint"] == corpus_fingerprint(store)
         assert status["fresh"] is fresh
@@ -300,17 +294,15 @@ class TestSnapshotFreshness:
         }
         assert reads == changed.get(mutation, [])
 
-    def test_a_manifest_as_new_as_the_index_is_read_again(self, store,
-                                                         monkeypatch):
+    def test_an_entry_as_new_as_the_index_is_read_again(self, store,
+                                                       monkeypatch):
         """The racy-entry rule: a row whose ctime is not older than the
         index file's mtime is not trusted, however well its stat matches."""
-        ctimes = {
-            key: os.stat(os.path.join(entry_dir, "manifest.json")).st_ctime_ns
-            for key, entry_dir in store._entry_dirs()
-        }
+        ctimes = {key: os.stat(path).st_ctime_ns
+                  for key, path in store.entries()}
         newest = max(ctimes.values())
         os.utime(default_index_path(store), ns=(newest, newest))
-        status, reads = _manifest_reads(
+        status, reads = _entry_reads(
             store, monkeypatch, lambda: index_status(store))
         assert status["fresh"] is True
         assert status["corpus_fingerprint"] == corpus_fingerprint(store)
@@ -319,11 +311,11 @@ class TestSnapshotFreshness:
 
     def test_an_index_of_other_code_trusts_no_row(self, store, monkeypatch):
         other = ResultStore(store.root, fingerprint="other-code")
-        status, reads = _manifest_reads(
+        status, reads = _entry_reads(
             other, monkeypatch, lambda: index_status(other))
         assert status["fresh"] is False
         assert status["corpus_fingerprint"] == corpus_fingerprint(other)
-        assert len(reads) == len(store._entry_dirs())
+        assert len(reads) == len(store.entries())
 
 
 class TestSummaries:
@@ -381,15 +373,13 @@ class TestSummaries:
         before = query_bytes(store)
 
         rotten = spec_hash(family_specs[1])
-        with open(os.path.join(store.entry_dir(rotten), "events.jsonl"),
-                  "ab") as handle:
-            handle.write(b"{}\n")
+        flip_byte(store.entry_path(rotten))
         assert index_status(store)["fresh"] is True
         assert query_bytes(store) == before
 
         assert main(["cache", "verify", "--cache", store.root]) == 1
         out = capsys.readouterr().out
-        assert f"{rotten[:16]}" in out and "events.jsonl digest mismatch" in out
+        assert f"{rotten[:16]}" in out and "events digest mismatch" in out
 
 
     def test_a_stream_that_does_not_decode_gets_no_summary(self, tmp_path):

@@ -337,11 +337,8 @@ class TestStoredStreamDecode:
         monkeypatch.setattr(builtins, "open", real_open)
         assert calls_of(stats, json.loads, replay_module.__file__) == len(entries)
         assert calls_of(stats, Event.__init__) == 0
-        expected = sorted(
-            os.path.join(entry.key[:2], entry.key, artifact)
-            for entry in entries
-            for artifact in ("manifest.json", "metrics.json", "events.jsonl")
-        )
+        expected = sorted(os.path.join(entry.key[:2], entry.key)
+                          for entry in entries)
         assert sorted(opened) == expected
 
     def test_reports_open_no_stream(self, warm, monkeypatch):

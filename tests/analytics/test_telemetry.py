@@ -10,7 +10,6 @@ Two families of guarantees:
   live in the sidecar and nowhere else.
 """
 
-import os
 
 import pytest
 
@@ -27,6 +26,7 @@ from repro.obs.bus import canonical_json
 from repro.sweep.batch import run_batch
 from repro.sweep.plan import plan_shard
 from repro.sweep.shard import run_shard
+from tests.grid.entry_files import read_sections
 
 
 def fast_spec(name="synthetic-tkernel", **overrides):
@@ -116,11 +116,8 @@ class TestIsolation:
         plain_entry = plain_store.lookup(spec)
         timed_entry = timed_store.lookup(spec)
         assert plain_entry is not None and timed_entry is not None
-        with open(os.path.join(plain_entry.entry_dir, "events.jsonl"), "rb") as handle:
-            plain_bytes = handle.read()
-        with open(os.path.join(timed_entry.entry_dir, "events.jsonl"), "rb") as handle:
-            timed_bytes = handle.read()
-        assert plain_bytes == timed_bytes
+        assert read_sections(plain_entry.path)[2] == \
+            read_sections(timed_entry.path)[2]
         assert {"store", "run"} <= {span["phase"] for span in recorder.spans}
 
     def test_batch_aggregate_identical_with_and_without_telemetry(self):

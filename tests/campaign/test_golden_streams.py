@@ -25,6 +25,7 @@ from repro.campaign.runner import run_spec
 from repro.campaign.spec import spec_hash
 from repro.grid.store import ResultStore
 from repro.obs.bus import canonical_json
+from tests.grid.entry_files import read_sections
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_streams.json")
 
@@ -73,7 +74,7 @@ def test_streamed_jsonl_is_byte_identical_to_golden(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stored_events_artifact_is_byte_identical_to_golden(name, tmp_path):
-    """The store's ``events.jsonl`` — the run's encoded bytes, filed by
+    """The store's events section — the run's encoded bytes, filed by
     the single-write ``put`` — must hold exactly the golden bytes, and the
     manifest digests (computed from the bytes as written) must agree."""
     spec = get_scenario(name)
@@ -82,8 +83,7 @@ def test_stored_events_artifact_is_byte_identical_to_golden(name, tmp_path):
     run_spec(spec, collect_events=False, store=store)
     entry = store.lookup(spec)
     assert entry is not None  # the fresh run must have filled the cache
-    with open(os.path.join(entry.entry_dir, "events.jsonl"), "rb") as handle:
-        data = handle.read()
+    _, _, data = read_sections(entry.path)
     assert hashlib.sha256(data).hexdigest() == golden["events_sha256"]
     assert entry.manifest["events_sha256"] == golden["events_sha256"]
     assert entry.manifest["events_lines"] == golden["events_lines"]

@@ -36,6 +36,7 @@ from repro.grid import ResultStore
 from repro.obs.bus import canonical_json
 from repro.sweep import merge_shards, plan_shard, run_shard
 from repro.sweep.batch import run_batch
+from tests.grid.entry_files import read_sections, rewrite_entry
 
 
 def cheap_spec(seed=0):
@@ -205,11 +206,9 @@ def test_replay_serves_the_bytes_verified_at_lookup(store, tmp_path):
     fresh = run_spec(spec, store=store)
     hit = store.lookup(spec)
     assert hit is not None
-    events_path = os.path.join(hit.entry_dir, "events.jsonl")
-    with open(events_path, "rb") as handle:
-        verified = handle.read()
-    with open(events_path, "wb") as handle:
-        handle.write(b'{"t_ms":0,"kind":"forged"}\n')
+    _, _, verified = read_sections(hit.path)
+    rewrite_entry(hit.path, events=b'{"t_ms":0,"kind":"forged"}\n',
+                  record=False)
 
     replayed = hit.replay()
     assert replayed.events_jsonl == verified
@@ -219,7 +218,7 @@ def test_replay_serves_the_bytes_verified_at_lookup(store, tmp_path):
     assert hit.stream_events_to(str(tmp_path / "streamed.jsonl")) == \
         verified.count(b"\n")
     assert (tmp_path / "streamed.jsonl").read_bytes() == verified
-    # The forged file is a digest mismatch for the next lookup.
+    # The forged section is a digest mismatch for the next lookup.
     assert store.lookup(spec) is None
 
 

@@ -10,13 +10,13 @@ spec, so this exercises exactly the production code path) to keep the
 full-registry sweep fast.
 """
 
-import os
 
 import pytest
 
 from repro.campaign import get_scenario, run_spec, scenario_names
 from repro.grid import ResultStore
 from repro.obs.bus import canonical_json
+from tests.grid.entry_files import read_sections, rewrite_entry
 
 #: Reduced horizons for the expensive scenarios; everything else is cheap
 #: enough to run at a 30 ms window.
@@ -78,9 +78,9 @@ def test_poisoned_entry_is_detected_and_recomputed(name, tmp_path):
 
     # Poison the stored stream; the manifest's digest no longer matches.
     entry = store.lookup(spec)
-    with open(os.path.join(entry.entry_dir, "events.jsonl"), "a",
-              encoding="utf-8") as handle:
-        handle.write('{"t_ms":9,"thread":"mallory","kind":"dispatch"}\n')
+    _, _, events = read_sections(entry.path)
+    rewrite_entry(entry.path, record=False, events=events
+                  + b'{"t_ms":9,"thread":"mallory","kind":"dispatch"}\n')
     assert store.lookup(spec) is None
 
     recomputed = run_spec(spec, store=store)
@@ -96,17 +96,10 @@ def test_poisoned_entry_is_detected_and_recomputed(name, tmp_path):
 
 @pytest.mark.parametrize("name", ["quickstart"])
 def test_poisoned_manifest_fingerprint_is_detected(name, tmp_path):
-    import os
-
     store = ResultStore(str(tmp_path / "cache"))
     spec = fast_spec(name)
     run_spec(spec, store=store)
-    entry = store.lookup(spec)
-    manifest = dict(entry.manifest)
-    manifest["fingerprint"] = "d" * 64
-    with open(os.path.join(entry.entry_dir, "manifest.json"), "w",
-              encoding="utf-8") as handle:
-        handle.write(canonical_json(manifest) + "\n")
+    rewrite_entry(store.lookup(spec).path, fingerprint="d" * 64)
     assert store.lookup(spec) is None
     recomputed = run_spec(spec, store=store)
     assert not recomputed.cached

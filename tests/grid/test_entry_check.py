@@ -7,7 +7,6 @@ index has no row for it — while a clean sibling passes on every path.
 """
 
 import builtins
-import hashlib
 import json
 import os
 from collections import Counter
@@ -20,6 +19,11 @@ from repro.campaign.cli import main
 from repro.campaign.metrics import RunResult
 from repro.grid import ResultStore
 from repro.obs.bus import canonical_json
+from tests.grid.entry_files import (
+    append_bytes,
+    rewrite_entry,
+    to_directory_layout,
+)
 
 EVENTS = b"".join(
     (canonical_json({"kind": "exec", "t_ms": slot / 1000, "thread": "t0",
@@ -39,23 +43,9 @@ def put(store, seed):
                                {"context_switches": 10 + seed}), EVENTS)
 
 
-def path_of(entry, name):
-    return os.path.join(entry.entry_dir, name)
-
-
-def rewrite_manifest(entry, **fields):
-    manifest = dict(entry.manifest, **fields)
-    with open(path_of(entry, "manifest.json"), "w") as handle:
-        handle.write(canonical_json(manifest) + "\n")
-
-
 def rewrite_metrics(entry, text):
-    """Make the entry's ``metrics.json`` *text*, its digest recorded again."""
-    blob = text.encode("utf-8")
-    with open(path_of(entry, "metrics.json"), "wb") as handle:
-        handle.write(blob)
-    rewrite_manifest(entry, metrics_bytes=len(blob),
-                     metrics_sha256=hashlib.sha256(blob).hexdigest())
+    """Make the entry's metrics section *text*, its digest recorded again."""
+    rewrite_entry(entry.path, metrics=text.encode("utf-8"))
 
 
 def forge_spec(store, entry):
@@ -77,21 +67,29 @@ def nest_metrics(store, entry):
 
 
 def mismatch_events(store, entry):
-    with open(path_of(entry, "events.jsonl"), "ab") as handle:
-        handle.write(b"{}\n")
+    rewrite_entry(entry.path, events=EVENTS + b"{}\n", record=False)
 
 
 def break_manifest(store, entry):
-    with open(path_of(entry, "manifest.json"), "w") as handle:
-        handle.write("{ nope")
+    with open(entry.path, "r+b") as handle:
+        handle.write(b"{ nope")
 
 
 def other_fingerprint(store, entry):
-    rewrite_manifest(entry, fingerprint="0" * 64)
+    rewrite_entry(entry.path, fingerprint="0" * 64)
 
 
-def drop_events(store, entry):
-    os.remove(path_of(entry, "events.jsonl"))
+def truncate_events(store, entry):
+    size = os.path.getsize(entry.path)
+    os.truncate(entry.path, size - len(EVENTS) // 2)
+
+
+def append_trailing_bytes(store, entry):
+    append_bytes(entry.path, b"\n")
+
+
+def directory_layout(store, entry):
+    to_directory_layout(entry.path)
 
 
 #: Each kind of damage and how ``stats`` classifies the damaged entry.
@@ -102,7 +100,9 @@ DAMAGE = {
     "events-digest-mismatch": (mismatch_events, "corrupt"),
     "unparseable-manifest": (break_manifest, "corrupt"),
     "other-fingerprint": (other_fingerprint, "stale"),
-    "missing-events": (drop_events, "corrupt"),
+    "missing-events": (truncate_events, "corrupt"),
+    "trailing-bytes": (append_trailing_bytes, "corrupt"),
+    "parent-layout-directory": (directory_layout, "stale"),
 }
 
 
@@ -142,12 +142,12 @@ def test_every_path_refuses_the_damaged_entry_and_serves_its_sibling(
     report = store.verify(repair=True)
     assert [item["key"] for item in report["bad"]] == [damaged]
     assert report["quarantined"] == 1
-    assert os.path.isdir(os.path.join(store.quarantine_dir(), damaged))
+    assert os.path.lexists(os.path.join(store.quarantine_dir(), damaged))
     assert store.verify() == {"checked": 1, "bad": [], "quarantined": 0}
     assert store.lookup(spec_document(0)).key == clean
 
 
-def test_maintenance_opens_each_manifest_once(tmp_path, monkeypatch):
+def test_maintenance_opens_each_entry_once(tmp_path, monkeypatch):
     store = ResultStore(str(tmp_path / "store"))
     for seed in range(3):
         put(store, seed)
@@ -157,17 +157,17 @@ def test_maintenance_opens_each_manifest_once(tmp_path, monkeypatch):
     real_open = builtins.open
 
     def counting_open(file, *args, **kwargs):
-        if os.path.basename(str(file)) == "manifest.json":
-            opened[os.path.abspath(str(file))] += 1
+        path = os.path.abspath(str(file))
+        if path.startswith(store.root + os.sep):
+            opened[path] += 1
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
-    manifests = {os.path.join(entry_dir, "manifest.json")
-                 for _, entry_dir in store._entry_dirs()}
+    entries = {path for _, path in store.entries()}
     for maintenance in (store.stats, store.verify, store.gc):
         opened.clear()
         maintenance()
-        assert opened == Counter(manifests), maintenance.__name__
+        assert opened == Counter(entries), maintenance.__name__
 
 
 def test_run_with_cache_recomputes_a_malformed_entry(tmp_path, capsys):

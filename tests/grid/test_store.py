@@ -1,17 +1,22 @@
 """The content-addressed result store: keys, integrity, maintenance."""
 
-import hashlib
 import json
 import os
 
 import pytest
 
 from repro.campaign import get_scenario, run_spec, spec_hash
+from repro.campaign.cli import main
 from repro.campaign.metrics import RunResult
 from repro.campaign.spec import spec_hash_from_document
 from repro.grid import ResultStore, code_fingerprint
 from repro.obs.bus import canonical_json
 from repro.sweep import plan_shard, run_batch, run_shard
+from tests.grid.entry_files import (
+    read_sections,
+    rewrite_entry,
+    to_directory_layout,
+)
 
 
 def cheap_spec(seed=0, duration_ms=30.0):
@@ -26,15 +31,9 @@ def store(tmp_path):
 
 
 def forge_metrics(entry, text):
-    """Make *entry*'s ``metrics.json`` hold *text* and record the digest of
+    """Make *entry*'s metrics section hold *text* and record the digest of
     the new bytes in its manifest, as a consistent writer would."""
-    blob = text.encode("utf-8")
-    with open(os.path.join(entry.entry_dir, "metrics.json"), "wb") as handle:
-        handle.write(blob)
-    manifest = dict(entry.manifest, metrics_bytes=len(blob),
-                    metrics_sha256=hashlib.sha256(blob).hexdigest())
-    with open(os.path.join(entry.entry_dir, "manifest.json"), "w") as handle:
-        handle.write(canonical_json(manifest) + "\n")
+    rewrite_entry(entry.path, metrics=text.encode("utf-8"))
 
 
 class TestKeys:
@@ -122,9 +121,9 @@ class TestIntegrity:
         spec = cheap_spec()
         run_spec(spec, store=store)
         entry = store.lookup(spec)
-        with open(os.path.join(entry.entry_dir, "events.jsonl"), "a",
-                  encoding="utf-8") as handle:
-            handle.write('{"t_ms":0,"thread":"evil","kind":"dispatch"}\n')
+        _, _, events = read_sections(entry.path)
+        rewrite_entry(entry.path, record=False, events=events
+                      + b'{"t_ms":0,"thread":"evil","kind":"dispatch"}\n')
         assert store.lookup(spec) is None
         recomputed = run_spec(spec, store=store)
         assert not recomputed.cached
@@ -136,17 +135,16 @@ class TestIntegrity:
         entry = store.lookup(spec)
         document = json.loads(entry.metrics_text)
         document["metrics"]["context_switches"] = 10**9
-        with open(os.path.join(entry.entry_dir, "metrics.json"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(canonical_json(document) + "\n")
+        rewrite_entry(entry.path, record=False,
+                      metrics=(canonical_json(document) + "\n").encode())
         assert store.lookup(spec) is None
 
     def test_unparseable_manifest_is_a_miss(self, store):
         spec = cheap_spec()
         run_spec(spec, store=store)
         entry = store.lookup(spec)
-        with open(os.path.join(entry.entry_dir, "manifest.json"), "w") as handle:
-            handle.write("{ nope")
+        with open(entry.path, "r+b") as handle:
+            handle.write(b"{ nope")
         assert store.lookup(spec) is None
 
     def test_a_stored_spec_other_than_the_looked_up_one_is_a_miss(self, store):
@@ -156,8 +154,8 @@ class TestIntegrity:
         document = json.loads(entry.metrics_text)
         document["spec"]["seed"] += 1
         forge_metrics(entry, canonical_json(document) + "\n")
-        assert store.check_entry(entry.key, entry.entry_dir)[1] == [
-            "metrics.json spec does not hash to the key"]
+        assert store.check_entry(entry.key, entry.path)[1] == [
+            "the stored spec does not hash to the key"]
         assert store.lookup(spec) is None
         recomputed = run_spec(spec, store=store)
         assert not recomputed.cached
@@ -196,9 +194,7 @@ class TestIntegrity:
         run_spec(spec, store=store)
         entry = store.lookup(spec)
         lines = entry.events_blob.count(b"\n")
-        manifest = dict(entry.manifest, events_lines=lines + 7)
-        with open(os.path.join(entry.entry_dir, "manifest.json"), "w") as handle:
-            handle.write(canonical_json(manifest) + "\n")
+        rewrite_entry(entry.path, events_lines=lines + 7)
         hit = store.lookup(spec).replay(
             events_stream=str(tmp_path / "events.jsonl"))
         assert hit.events_streamed == lines
@@ -221,14 +217,10 @@ class TestMaintenance:
         run_spec(cheap_spec(seed=3), store=store)
         # Stale: same layout, other fingerprint.
         entry = store.lookup(cheap_spec(seed=2))
-        manifest = dict(entry.manifest)
-        manifest["fingerprint"] = "f" * 64
-        with open(os.path.join(entry.entry_dir, "manifest.json"), "w") as handle:
-            handle.write(canonical_json(manifest) + "\n")
-        # Corrupt: damaged events artifact.
+        rewrite_entry(entry.path, fingerprint="f" * 64)
+        # Corrupt: damaged events section.
         entry3 = store.lookup(cheap_spec(seed=3))
-        with open(os.path.join(entry3.entry_dir, "events.jsonl"), "a") as handle:
-            handle.write("garbage\n")
+        rewrite_entry(entry3.path, events=b"garbage\n", record=False)
         stats = store.stats()
         assert stats["entries"] == 3
         assert stats["valid"] == 1
@@ -241,17 +233,14 @@ class TestMaintenance:
         entry = store.lookup(cheap_spec(seed=1))
         lines = entry.events_blob.count(b"\n")
         assert store.stats()["events_lines"] == lines
-        manifest = dict(entry.manifest, events_lines=lines + 7)
-        with open(os.path.join(entry.entry_dir, "manifest.json"), "w") as handle:
-            handle.write(canonical_json(manifest) + "\n")
+        rewrite_entry(entry.path, events_lines=lines + 7)
         assert store.stats()["events_lines"] == lines
 
     def test_gc_sweeps_unusable_entries_only(self, store):
         run_spec(cheap_spec(seed=1), store=store)
         run_spec(cheap_spec(seed=2), store=store)
         entry = store.lookup(cheap_spec(seed=2))
-        with open(os.path.join(entry.entry_dir, "events.jsonl"), "w") as handle:
-            handle.write("poison\n")
+        rewrite_entry(entry.path, events=b"poison\n", record=False)
         swept = store.gc()
         assert swept == {"removed": 1, "kept": 1, "staging_removed": 0}
         assert store.lookup(cheap_spec(seed=1)) is not None
@@ -260,7 +249,7 @@ class TestMaintenance:
     def test_stray_files_in_fanout_dirs_do_not_break_maintenance(self, store):
         run_spec(cheap_spec(seed=1), store=store)
         entry = store.lookup(cheap_spec(seed=1))
-        prefix_dir = os.path.dirname(entry.entry_dir)
+        prefix_dir = os.path.dirname(entry.path)
         with open(os.path.join(prefix_dir, ".DS_Store"), "w") as handle:
             handle.write("junk")
         stats = store.stats()
@@ -268,6 +257,32 @@ class TestMaintenance:
         assert store.gc()["kept"] == 1
         assert store.lookup(cheap_spec(seed=1)) is not None
         assert store.clear() == 1
+
+    def test_a_batch_over_a_directory_layout_store_resimulates(
+        self, store, tmp_path, capsys
+    ):
+        """A store the ``repro-grid-store/1`` code filled: each entry is a
+        miss, the batch re-simulates it, replaces it with an entry file and
+        exits 0; the next batch is all hits and writes the same bytes."""
+        argv = ["batch", "--scenario", "rtk-priority", "--matrix",
+                "seed=1,2", "--set", "duration_ms=30", "--serial",
+                "--cache", store.root]
+        assert main(argv + ["--out", str(tmp_path / "fresh")]) == 0
+        for _, path in store.entries():
+            to_directory_layout(path)
+        assert store.stats()["stale"] == 2
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "over-old")]) == 0
+        assert "cache: 0 hit(s), 2 simulated" in capsys.readouterr().out
+        assert all(os.path.isfile(path) for _, path in store.entries())
+        assert store.stats()["valid"] == 2
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        assert "cache: 2 hit(s), 0 simulated" in capsys.readouterr().out
+        for name in ("aggregate.json", "events_000_rtk-priority-seed-1.jsonl",
+                     "events_001_rtk-priority-seed-2.jsonl"):
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "over-old" / name).read_bytes() == fresh
+            assert (tmp_path / "warm" / name).read_bytes() == fresh
 
     def test_clear_empties_the_store(self, store):
         run_spec(cheap_spec(seed=1), store=store)
@@ -280,8 +295,7 @@ class TestMaintenance:
         blob = b'{"kind":"dispatch","t_ms":0.0,"thread":"a"}\n'
         entry = store.put(RunResult(cheap_spec().to_dict(), {}), blob)
         assert entry.events_blob is blob
-        with open(os.path.join(entry.entry_dir, "events.jsonl"), "rb") as handle:
-            assert handle.read() == blob
+        assert read_sections(entry.path)[2] == blob
         assert entry.manifest["events_bytes"] == len(blob)
         assert entry.manifest["events_lines"] == 1
         assert store.lookup(cheap_spec()).events_blob == blob

@@ -122,6 +122,48 @@ def test_flatten_fast_path_keeps_every_result(document):
     assert flat == expected and list(flat) == list(expected)
 
 
+def reference_aggregate(results) -> dict:
+    """``aggregate_metrics`` as flatten-then-sum defines it."""
+    totals, counts, runs = {}, {}, 0
+    for metrics in results:
+        runs += 1
+        for key, value in reference_flatten(metrics).items():
+            totals[key] = totals.get(key, 0.0) + value
+            counts[key] = counts.get(key, 0) + 1
+    return {"runs": runs,
+            "total": {key: totals[key] for key in sorted(totals)},
+            "mean": {key: totals[key] / counts[key] for key in sorted(totals)}}
+
+
+#: A few shared keys, so runs overlap and miss keys, and nested and dotted
+#: keys flatten to the same name ("a" -> {"b": 1} and "a.b").
+shared_keys = st.sampled_from(("a", "b", "a.b", "b.a", "1", ""))
+summable = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.integers(min_value=-(2 ** 80), max_value=2 ** 80),
+)
+metric_leaves = st.one_of(summable, st.booleans(), st.none(), names,
+                          st.lists(summable, max_size=2), st.just(Level.LOW))
+metric_values = st.recursive(
+    metric_leaves,
+    lambda inner: st.one_of(
+        st.dictionaries(shared_keys | names, inner, max_size=3),
+        st.dictionaries(shared_keys, inner, max_size=3).map(OrderedDict),
+        st.dictionaries(shared_keys, inner, max_size=3).map(MappingProxyType),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.lists(st.dictionaries(shared_keys | names, metric_values,
+                                     max_size=5), max_size=6))
+def test_aggregate_equals_flatten_then_sum(runs):
+    assert canonical_json(aggregate_metrics(iter(runs))) == \
+        canonical_json(reference_aggregate(runs))
+
+
 def test_every_sweep_path_writes_the_same_aggregate(tmp_path, capsys):
     family = FamilySpec(name="one-assembler", count=5, seed=4,
                         kernels=("tkernel", "rtkspec1", "rtkspec2"),

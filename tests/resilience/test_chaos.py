@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from repro.campaign.metrics import RunResult
+from repro.grid.store import ResultStore, section_span
 from repro.sweep.chaos import (
     ChaosError,
     ChaosInjection,
@@ -73,31 +75,45 @@ class TestFiring:
             chaos_point("build", scenario="s", index=0)  # burned: silent
         assert os.path.exists(marker)
 
-    def test_corrupt_store_flips_one_byte(self, tmp_path):
-        target = tmp_path / "events.jsonl"
-        original = b'{"t_ns": 100}\n{"t_ns": 200}\n'
-        target.write_bytes(original)
+    def _stored_entry(self, tmp_path):
+        store = ResultStore(str(tmp_path / "store"))
+        spec = {"name": "s", "kernel": "tkernel", "workload": "generated",
+                "seed": 0, "duration_ms": 10.0}
+        entry = store.put(RunResult(spec, {"context_switches": 1}),
+                          b'{"t_ns": 100}\n{"t_ns": 200}\n' * 5)
+        return store, spec, entry
+
+    def test_corrupt_store_flips_one_byte_of_the_section(self, tmp_path):
+        store, spec, entry = self._stored_entry(tmp_path)
+        with open(entry.path, "rb") as handle:
+            original = handle.read()
         injector = ChaosInjector([
             ChaosInjection(kind="corrupt-store", phase="stored"),
         ])
         with chaos_active(injector):
             chaos_point("stored", scenario="s", index=0,
-                        entry_dir=str(tmp_path))
-        mutated = target.read_bytes()
-        assert mutated != original
+                        entry_path=entry.path)
+        with open(entry.path, "rb") as handle:
+            mutated = handle.read()
+        offset, size = section_span(entry.path, "events")
+        changed = [i for i, (a, b) in enumerate(zip(mutated, original))
+                   if a != b]
         assert len(mutated) == len(original)
-        assert sum(a != b for a, b in zip(mutated, original)) == 1
+        assert changed == [offset + size // 2]
+        assert store.check_entry(entry.key, entry.path)[1] == [
+            "events digest mismatch"]
 
-    def test_torn_write_truncates(self, tmp_path):
-        target = tmp_path / "events.jsonl"
-        target.write_bytes(b"x" * 100)
+    def test_torn_write_truncates_inside_the_section(self, tmp_path):
+        store, spec, entry = self._stored_entry(tmp_path)
+        offset, size = section_span(entry.path, "events")
         injector = ChaosInjector([
             ChaosInjection(kind="torn-write", phase="stored"),
         ])
         with chaos_active(injector):
             chaos_point("stored", scenario="s", index=0,
-                        entry_dir=str(tmp_path))
-        assert target.stat().st_size == 60
+                        entry_path=entry.path)
+        assert os.path.getsize(entry.path) == offset + (size * 3) // 5
+        assert store.lookup(spec) is None
 
 
 class TestChooseIndex:

@@ -6,20 +6,15 @@ import os
 import pytest
 
 from repro.campaign.cli import main
+from repro.grid import ResultStore
 from repro.sweep.envelope import load_failures
+from tests.grid.entry_files import flip_byte
 
 
 def _corrupt_one_event_stream(cache_dir):
-    for root, _dirs, files in os.walk(cache_dir):
-        if "events.jsonl" in files and ".quarantine" not in root:
-            target = os.path.join(root, "events.jsonl")
-            with open(target, "r+b") as handle:
-                handle.seek(os.path.getsize(target) // 2)
-                byte = handle.read(1)
-                handle.seek(-1, os.SEEK_CUR)
-                handle.write(bytes([byte[0] ^ 0xFF]))
-            return target
-    raise AssertionError("no stored events.jsonl to corrupt")
+    target = ResultStore(cache_dir).entries()[0][1]
+    flip_byte(target)
+    return target
 
 
 class TestBatchExitCodes:

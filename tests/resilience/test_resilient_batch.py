@@ -37,6 +37,7 @@ from repro.sweep.outputs import run_events_filename
 from repro.sweep.plan import plan_shard
 from repro.sweep.shard import merge_shards, run_shard
 from repro.workload.families import FamilySpec, expand_family
+from tests.grid.entry_files import flip_byte
 
 
 def _family(count, name="resilience-family"):
@@ -350,18 +351,7 @@ class TestStoreDegradation:
         # Rot one stored event stream: the verified lookup must treat the
         # entry as a miss and re-simulate instead of raising or replaying
         # bad bytes.
-        victim_dir = None
-        for root, _dirs, files in os.walk(str(tmp_path / "cache")):
-            if "events.jsonl" in files:
-                victim_dir = root
-                break
-        assert victim_dir is not None
-        target = os.path.join(victim_dir, "events.jsonl")
-        with open(target, "r+b") as handle:
-            handle.seek(os.path.getsize(target) // 2)
-            byte = handle.read(1)
-            handle.seek(-1, os.SEEK_CUR)
-            handle.write(bytes([byte[0] ^ 0xFF]))
+        flip_byte(store.entries()[0][1])
 
         second = run_batch(specs, workers=1, store=store,
                            policy=ResiliencePolicy())

@@ -6,6 +6,7 @@ import os
 from repro.grid.store import ResultStore
 from repro.sweep.batch import run_batch
 from repro.workload.families import FamilySpec, expand_family
+from tests.grid.entry_files import flip_byte
 
 
 def _warm_store(tmp_path, count=3):
@@ -17,19 +18,8 @@ def _warm_store(tmp_path, count=3):
     return store
 
 
-def _first_artifact(store, name="events.jsonl"):
-    for root, _dirs, files in os.walk(store.root):
-        if name in files and ".quarantine" not in root:
-            return os.path.join(root, name)
-    raise AssertionError(f"no {name} in store")
-
-
-def _flip_byte(path):
-    with open(path, "r+b") as handle:
-        handle.seek(os.path.getsize(path) // 2)
-        byte = handle.read(1)
-        handle.seek(-1, os.SEEK_CUR)
-        handle.write(bytes([byte[0] ^ 0xFF]))
+def _first_entry(store):
+    return store.entries()[0][1]
 
 
 class TestVerify:
@@ -40,29 +30,28 @@ class TestVerify:
         assert report["bad"] == []
         assert report["quarantined"] == 0
 
-    def test_digest_mismatch_is_named_per_artifact(self, tmp_path):
+    def test_digest_mismatch_is_named_per_section(self, tmp_path):
         store = _warm_store(tmp_path)
-        _flip_byte(_first_artifact(store))
+        flip_byte(_first_entry(store))
         report = store.verify()
         assert len(report["bad"]) == 1
         problems = report["bad"][0]["problems"]
-        assert any("events.jsonl digest mismatch" in p for p in problems)
+        assert problems == ["events digest mismatch"]
         assert report["bad"][0]["scenario"]
         # verify alone never mutates the store
         assert store.verify()["checked"] == 3
 
     def test_unreadable_manifest_is_reported(self, tmp_path):
         store = _warm_store(tmp_path)
-        manifest = _first_artifact(store, "manifest.json")
-        with open(manifest, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
+        with open(_first_entry(store), "r+b") as handle:
+            handle.write(b"{not json")
         report = store.verify()
         assert len(report["bad"]) == 1
         assert any("manifest" in p for p in report["bad"][0]["problems"])
 
     def test_repair_quarantines_failing_entries(self, tmp_path):
         store = _warm_store(tmp_path)
-        _flip_byte(_first_artifact(store))
+        flip_byte(_first_entry(store))
         report = store.verify(repair=True)
         assert report["quarantined"] == 1
         assert os.path.isdir(store.quarantine_dir())
@@ -74,7 +63,7 @@ class TestVerify:
 
     def test_quarantined_entries_resimulate_on_the_next_sweep(self, tmp_path):
         store = _warm_store(tmp_path)
-        _flip_byte(_first_artifact(store))
+        flip_byte(_first_entry(store))
         store.verify(repair=True)
         specs = expand_family(FamilySpec(
             name="verify-family", count=3, seed=3, duration_ms=5.0,
@@ -85,7 +74,7 @@ class TestVerify:
 
     def test_clear_sweeps_the_quarantine_too(self, tmp_path):
         store = _warm_store(tmp_path)
-        _flip_byte(_first_artifact(store))
+        flip_byte(_first_entry(store))
         store.verify(repair=True)
         store.clear()
         assert not os.path.exists(store.quarantine_dir())
