@@ -1,23 +1,20 @@
-"""Floors and budgets of the hot plane: dispatch, scheduler, event
-streaming and store puts.
+"""Budgets of the hot plane: dispatch, scheduler, event streaming and
+store puts.
 
-Each test runs one small workload, defined in this module.  Three paths
-have exact work budgets, which trip on any host: SIM_API dispatch (calls
-and held bytes per dispatch, see ``test_dispatch_work_budget``) fails on
-a ``sorted()`` scan in the scheduler or a per-dispatch allocation, event
-streaming (``repro.obs`` calls per streamed ``sched`` line, see
-``test_event_stream_work_budget``) fails when the stream sink renders a
-line of a seen shape anew, and store puts (calls, opens, reads and
+Each test runs one small workload, defined in this module, and every
+budget is an exact work count, which trips on any host: SIM_API dispatch
+(calls and held bytes per dispatch, see ``test_dispatch_work_budget``)
+fails on a ``sorted()`` scan in the scheduler or a per-dispatch
+allocation, ready-queue ops (calls and scheduler lines per op, equal at 8
+and 64 threads, see ``test_scheduler_op_work_budget``) fail on a level
+scan, event streaming (``repro.obs`` calls per streamed ``sched`` line,
+see ``test_event_stream_work_budget``) fails when the stream sink renders
+a line of a seen shape anew, and store puts (calls, opens, reads and
 hashers per put, see ``test_store_put_work_budget``) fail on a re-read
 pass.  The kernel's timed and event+timeout waits are budgeted exactly in
-``benchmarks/test_obs_bus_overhead.py`` (calls and bytes per wait).
-
-The scheduler test asserts a *generous, noise-tolerant* absolute
-wall-clock floor: a development host (CPython 3.11) measures ~4,000,000
-ready-queue ops/s, ~8x above it, so a slow CI host still passes while a
-structural regression lands well below the wire.  The corpus index build
-has an exact budget instead (one open and four ``json.loads`` per entry,
-``benchmarks/test_corpus_index.py``).  Calibrated wall-clock medians are
+``benchmarks/test_obs_bus_overhead.py`` (calls and bytes per wait), the
+corpus index build in ``benchmarks/test_corpus_index.py`` (one open and
+four ``json.loads`` per entry).  Calibrated wall-clock medians are
 perfbench's (``BENCHMARK.json``); exact work counts per layer are
 ``repro bench``'s (``BENCH_PR<n>.json``).
 """
@@ -25,10 +22,11 @@ perfbench's (``BENCHMARK.json``); exact work counts per layer are
 import cProfile
 import gc
 import pstats
-import time
+import sys
 import tracemalloc
 from typing import Dict
 
+import repro.core.scheduler as scheduler_module
 from repro.core.scheduler import PriorityScheduler
 from repro.core.simapi import SimApi
 from repro.sysc.kernel import Simulator
@@ -98,28 +96,48 @@ class _SchedulerProbe:
         self.priority = priority
 
 
-def bench_scheduler_ops(
-    threads: int = 64, rounds: int = 2000, repeats: int = 3
-) -> float:
-    """Raw ready-queue operations per second of the bitmap scheduler.
+def scheduler_op_work(threads: int, rounds: int) -> Dict[str, int]:
+    """Exact work of *rounds* rounds of ready-queue ops on the bitmap
+    scheduler.  A round is ``2 * threads`` ops: it adds *threads* probes,
+    one per priority level, and pops them all.  Returns the calls
+    ``cProfile`` sees (Python functions and builtins alike) and the lines
+    ``sys.settrace`` sees run in ``repro/core/scheduler.py``, which a
+    loop without calls adds to."""
+    probes = [_SchedulerProbe(5 + index) for index in range(threads)]
 
-    One operation is one ``add_ready`` or one ``pop_next``; the probe set
-    spreads over 32 priority levels so the bitmap scan is exercised, not
-    just a single deque.
-    """
-    probes = [_SchedulerProbe(5 + (index % 32)) for index in range(threads)]
-    best = 0.0
-    for _ in range(repeats):
-        scheduler = PriorityScheduler()
-        start = time.perf_counter()
+    def drive(scheduler: PriorityScheduler) -> None:
         for _ in range(rounds):
             for probe in probes:
                 scheduler.add_ready(probe)
-            while scheduler.pop_next() is not None:
-                pass
-        elapsed = time.perf_counter() - start
-        best = max(best, 2 * threads * rounds / elapsed)
-    return best
+            for _ in probes:
+                scheduler.pop_next()
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    drive(PriorityScheduler())
+    profiler.disable()
+    calls = sum(stat[1] for stat in pstats.Stats(profiler).stats.values())
+
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_lines
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename == scheduler_module.__file__:
+            return count_lines
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        drive(PriorityScheduler())
+    finally:
+        sys.settrace(previous)
+    return {"calls": calls, "lines": lines}
 
 
 def event_stream_calls(kind: str, lines: int) -> int:
@@ -240,8 +258,10 @@ PUT_CALL_BUDGET = 160
 #: (the spec key and one digest per section).
 PUT_OPENS, PUT_READS, PUT_HASHERS = 1, 0, 3
 
-#: Conservative absolute floor for any plausible host.
-SCHEDULER_OPS_FLOOR = 500_000
+#: ``cProfile`` calls per ready-queue op: ``add_ready`` is itself,
+#: ``_queue_for``, ``dict.get`` and ``deque.append``; ``pop_next`` is
+#: itself, ``int.bit_length`` and ``deque.popleft``.
+SCHEDULER_OP_CALLS = 3.5
 
 
 def test_dispatch_work_budget():
@@ -268,12 +288,27 @@ def test_dispatch_work_budget():
     )
 
 
-def test_scheduler_ops_floor():
-    rate = bench_scheduler_ops(threads=64, rounds=500, repeats=3)
-    print(f"\nscheduler ops: {rate:,.0f}/s (floor {SCHEDULER_OPS_FLOOR:,}/s)")
-    assert rate > SCHEDULER_OPS_FLOOR, (
-        f"ready-queue ops {rate:,.0f}/s fell below the "
-        f"{SCHEDULER_OPS_FLOOR:,}/s floor — the bitmap scheduler regressed"
+def test_scheduler_op_work_budget():
+    """Each ready-queue op costs exactly SCHEDULER_OP_CALLS calls and the
+    same number of scheduler lines at 8 and at 64 threads.  Differencing
+    two round counts cancels the setup (the level deques a first round
+    creates), so the figures are exact: a level scan adds lines per op
+    that grow with the levels in use, and calls too if it calls."""
+    per_op = {}
+    for threads in (8, 64):
+        short, long = scheduler_op_work(threads, 20), scheduler_op_work(
+            threads, 40)
+        ops = 2 * threads * 20
+        per_op[threads] = {key: (long[key] - short[key]) / ops
+                           for key in long}
+    print(f"\nready-queue op: {per_op} (budget {SCHEDULER_OP_CALLS} calls)")
+    assert per_op[8] == per_op[64], (
+        f"ready-queue op work grows with the thread count: {per_op} — the "
+        f"bitmap scheduler scans its levels"
+    )
+    assert per_op[64]["calls"] <= SCHEDULER_OP_CALLS, (
+        f"{per_op[64]['calls']:g} calls per ready-queue op, budget "
+        f"{SCHEDULER_OP_CALLS} — the bitmap scheduler does more work per op"
     )
 
 

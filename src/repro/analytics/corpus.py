@@ -8,26 +8,29 @@ knob (the canonical spec JSON flattened by
 :func:`repro.workload.knobs.flatten_knobs`) and per metric (the metrics
 document flattened the same way), keyed by the entry's spec hash.
 
-Next to those rows the index holds one **stream summary** per run, so the
-stream-derived reports (:mod:`repro.analytics.reports`) read only index
-rows and never open a stored stream:
+Next to those rows the index holds each run's **report answers**, so the
+reports (:mod:`repro.analytics.reports`) are SELECTs over index rows and
+never open a stored stream or parse a task document:
 
-* ``summaries`` — the run's ``sched/exec`` slice-duration
-  :class:`~repro.obs.sinks.StreamingHistogram` state (count, total, min,
-  max and buckets);
-* ``jobs`` — for each generated periodic task, its job rows: release,
-  deadline and completion instants in ns (completion NULL when the job's
-  budget is never reached within the stored horizon).
+* ``summaries`` — one row per run: the audit's periodic-task count and
+  requested utilization Σ Cᵢ/Tᵢ; and, when its stream is a well-formed
+  ``sched`` stream, the deadline report's job count, misses and response
+  p50/p99, and the latency report's exec-slice count, total, min, max and
+  p50/p90/p99 (those columns are NULL for a stream that is not);
+* ``buckets`` — the exec-slice :class:`~repro.obs.sinks.StreamingHistogram`
+  tallies of each summarised run, one row per bucket, which only the
+  latency report's corpus-wide aggregate reads (one SQL ``GROUP BY``).
 
 :func:`summarise_stream` is the one place that reads a stored ``sched``
-stream for analytics.  :func:`build_index` verifies each entry through
-the store's one entry check
+stream for analytics, and :func:`periodic_tasks` the one parse of a run's
+task documents; :func:`build_index` makes both once per entry.  It
+verifies each entry through the store's one entry check
 (:meth:`~repro.grid.store.ResultStore.check_entry`) on the bytes the
 walk read from each entry file, and decodes the verified stream once through
 :func:`repro.obs.replay.decode_stored_jsonl`.  A summary is
 O(tasks · jobs + buckets), not O(events).
 
-The index's content tables (``runs``, ``summaries``, ``jobs``, ``meta``)
+The index's content tables (``runs``, ``summaries``, ``buckets``, ``meta``)
 are a *pure function of the store*:
 
 * rows come only from entries that the store's check would serve, in
@@ -80,15 +83,10 @@ from repro.obs.sinks import StreamingHistogram
 from repro.workload.knobs import flatten_knobs
 
 #: Schema identifier of the corpus index; bump on incompatible changes.
-CORPUS_SCHEMA = "repro-analytics-corpus/2"
+CORPUS_SCHEMA = "repro-analytics-corpus/3"
 
 #: Index filename inside the store root (dot-prefixed: not a store entry).
 INDEX_FILENAME = ".corpus.sqlite"
-
-#: One job of a periodic task: ``(task, job, release_ns, deadline_ns,
-#: completion_ns)``; ``completion_ns`` is ``None`` for an unfinished job.
-JobRow = Tuple[str, int, float, float, Optional[float]]
-
 
 class AnalyticsError(GridError):
     """An analytics-layer failure worth a one-line CLI error."""
@@ -246,46 +244,62 @@ def _job_completions_ns(
 
 
 def summarise_stream(
-    row: Mapping[str, Any], events_blob: bytes,
-) -> Tuple[StreamingHistogram, List[JobRow]]:
-    """The stream summary of one run: exec-slice histogram and job rows.
+    periodic: Sequence[Mapping[str, Any]], events_blob: bytes,
+) -> Tuple[StreamingHistogram, int, int, StreamingHistogram]:
+    """The stream summary of one run: ``(slices, jobs, misses, response)``.
 
-    *row* is the run's index row (its ``spec.extra.tasks`` names the
-    periodic tasks) and *events_blob* its verified stored stream, decoded
-    here once.  Every ``sched/exec`` slice duration feeds the histogram;
-    the slices of each periodic task's thread serve its jobs in order.
-    The deadline model is a *heuristic for generated periodic tasks*: job
-    *k* of task (C, T) is released at k·T and must accumulate C of
-    execution by (k+1)·T.  Jittered, sporadic and bursty tasks have no
-    static deadline, so only ``law == "periodic"`` tasks get job rows.
-    Raises ``ValueError``/``KeyError``/``TypeError`` on a stream that is
-    not a well-formed ``sched`` stream.
+    *periodic* is the run's :func:`periodic_tasks` and *events_blob* its
+    verified stored stream, decoded here once.  Every ``sched/exec`` slice
+    duration feeds the *slices* histogram; the slices of each periodic
+    task's thread serve its jobs in order.  The deadline model is a
+    *heuristic for generated periodic tasks*: job *k* of task (C, T) is
+    released at k·T and must accumulate C of execution by (k+1)·T.  A job
+    misses when its budget is never reached within the stored horizon or
+    is reached after its deadline; *response* tallies the release-to-
+    completion time of every completed job.  Jittered, sporadic and bursty
+    tasks have no static deadline, so only ``law == "periodic"`` tasks
+    have jobs.  Raises ``ValueError``/``KeyError``/``TypeError`` on a
+    stream that is not a well-formed ``sched`` stream.
     """
-    periodic = periodic_tasks(row)
     task_slices: Dict[str, List[Tuple[int, int]]] = {
         task["name"]: [] for task in periodic
     }
-    histogram = StreamingHistogram()
+    slices = StreamingHistogram()
     for document in decode_stored_jsonl(events_blob):
         if (document["kind"] == "exec"
                 and document.get("topic", "sched") == "sched"):
             duration = round(document["dur_ms"] * 1_000_000)
-            histogram.add(duration)
-            slices = task_slices.get(document["thread"])
-            if slices is not None:
-                slices.append((round(document["t_ms"] * 1_000_000), duration))
-    jobs: List[JobRow] = []
+            slices.add(duration)
+            thread_slices = task_slices.get(document["thread"])
+            if thread_slices is not None:
+                thread_slices.append(
+                    (round(document["t_ms"] * 1_000_000), duration))
+    jobs = misses = 0
+    response = StreamingHistogram()
     for task in periodic:
         period_ns = task["period_ms"] * 1e6
         completions = _job_completions_ns(
             task_slices[task["name"]], task["execution_ms"] * 1e6,
             int(task.get("jobs", 1)),
         )
+        jobs += len(completions)
         for job, completion in enumerate(completions):
             release = job * period_ns
-            jobs.append((task["name"], job, release, release + period_ns,
-                         completion))
-    return histogram, jobs
+            if completion is None or completion > release + period_ns + 1e-9:
+                misses += 1
+            if completion is not None and completion >= release:
+                response.add(completion - release)
+    return slices, jobs, misses, response
+
+
+def _requested_utilization(periodic: Sequence[Mapping[str, Any]]) -> Any:
+    """Σ Cᵢ/Tᵢ over *periodic*, summed in task order (the int ``0`` when
+    there are none); ``None`` when a period is zero."""
+    try:
+        return sum(task["execution_ms"] / task["period_ms"]
+                   for task in periodic)
+    except ZeroDivisionError:
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -309,17 +323,19 @@ def build_index(
     the entry's ``entry_stat`` row and the store's entry check), and the
     check verifies the bytes the walk read.  Rows come only from entries that check passes, in
     ascending key order, and are built from what it verified — its
-    decoded metrics member and its spec text into the entry's row, the
-    event stream into its :func:`summarise_stream` summary.
-    A verified stream that is not a well-formed ``sched`` stream keeps its
-    row but gets no summary; the stream reports name it.
+    decoded metrics member and its spec text into the entry's row, and
+    its ``summaries`` answers from one :func:`periodic_tasks` parse and
+    the :func:`summarise_stream` summary of the event stream.  A verified
+    stream that is not a well-formed ``sched`` stream keeps its row and
+    its audit answers, but its stream answers are NULL; the deadline and
+    latency reports name it.
     """
     path = path or default_index_path(store)
 
     hasher = hashlib.sha256()
     rows: List[Dict[str, Any]] = []
     summaries: List[Tuple[Any, ...]] = []
-    jobs: List[Tuple[Any, ...]] = []
+    buckets: List[Tuple[str, int, int]] = []
     stat_rows: List[Tuple[Any, ...]] = []
     columns: List[str] = ["key"]
     seen = {"key"}
@@ -343,16 +359,22 @@ def build_index(
                 seen.add(column)
                 columns.append(column)
         rows.append(row)
+        periodic = periodic_tasks(row)
+        audit = (key, len(periodic), _requested_utilization(periodic))
         try:
-            histogram, run_jobs = summarise_stream(row, events_blob)
+            slices, jobs, misses, response = summarise_stream(
+                periodic, events_blob)
         except (ValueError, KeyError, TypeError):
+            summaries.append(audit + (None,) * 11)
             continue
-        summaries.append((
-            key, histogram.count, histogram.total, histogram.min,
-            histogram.max,
-            json.dumps(histogram.buckets(), separators=(",", ":")),
+        latency = slices.snapshot()
+        deadlines = response.snapshot()
+        summaries.append(audit + (
+            jobs, misses, deadlines["p50"], deadlines["p99"],
+            slices.count, slices.total, slices.min, slices.max,
+            latency["p50"], latency["p90"], latency["p99"],
         ))
-        jobs.extend((key,) + job for job in run_jobs)
+        buckets.extend((key,) + bucket for bucket in slices.buckets())
     fingerprint = hasher.hexdigest()
     columns = ["key"] + sorted(column for column in columns if column != "key")
 
@@ -374,15 +396,20 @@ def build_index(
             ) + ")"
         )
         connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        # requested_utilization has no declared type, so it reads back
+        # exactly as summed: the int 0 of a run without periodic tasks.
         connection.execute(
-            "CREATE TABLE summaries (key TEXT PRIMARY KEY, count INTEGER, "
-            "total REAL, min REAL, max REAL, buckets TEXT)"
+            "CREATE TABLE summaries (key TEXT PRIMARY KEY, "
+            "periodic_tasks INTEGER, requested_utilization, "
+            "jobs INTEGER, misses INTEGER, response_p50_ns REAL, "
+            "response_p99_ns REAL, slices INTEGER, slice_total_ns REAL, "
+            "slice_min_ns REAL, slice_max_ns REAL, slice_p50_ns REAL, "
+            "slice_p90_ns REAL, slice_p99_ns REAL)"
         )
         connection.execute(
-            "CREATE TABLE jobs (key TEXT, task TEXT, job INTEGER, "
-            "release_ns REAL, deadline_ns REAL, completion_ns REAL)"
+            "CREATE TABLE buckets (key TEXT, bucket INTEGER, tally INTEGER, "
+            "PRIMARY KEY (key, bucket)) WITHOUT ROWID"
         )
-        connection.execute("CREATE INDEX jobs_by_key ON jobs (key)")
         connection.execute(
             "CREATE TABLE entry_stat (key TEXT PRIMARY KEY, ino INTEGER, "
             "size INTEGER, mtime_ns INTEGER, ctime_ns INTEGER, "
@@ -399,11 +426,10 @@ def build_index(
              for row in rows),
         )
         connection.executemany(
-            "INSERT INTO summaries VALUES (?, ?, ?, ?, ?, ?)", summaries,
+            "INSERT INTO summaries VALUES "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", summaries,
         )
-        connection.executemany(
-            "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?)", jobs,
-        )
+        connection.executemany("INSERT INTO buckets VALUES (?, ?, ?)", buckets)
         connection.executemany(
             "INSERT INTO entry_stat VALUES (?, ?, ?, ?, ?, ?, ?)", stat_rows,
         )
@@ -571,14 +597,7 @@ class CorpusIndex:
         ``key``; grouped mode orders by the group columns — either way the
         output bytes depend only on the corpus content.
         """
-        clauses: List[str] = []
-        parameters: List[Any] = []
-        for filter_text in where:
-            column, op, value = parse_filter(filter_text)
-            clauses.append(f"{_quote(self.resolve_column(column))} {op} ?")
-            parameters.append(_to_sqlite(value))
-        where_sql = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-
+        where_sql, parameters = self._where(where)
         if group_by or aggregate:
             groups = [self.resolve_column(g) for g in group_by]
             headers = list(groups)
@@ -607,6 +626,16 @@ class CorpusIndex:
         rows = self.connection.execute(sql, parameters).fetchall()
         return headers, rows
 
+    def _where(self, where: Sequence[str]) -> Tuple[str, List[Any]]:
+        """The SQL ``WHERE`` clause of *where* filters, and its parameters."""
+        clauses: List[str] = []
+        parameters: List[Any] = []
+        for filter_text in where:
+            column, op, value = parse_filter(filter_text)
+            clauses.append(f"{_quote(self.resolve_column(column))} {op} ?")
+            parameters.append(_to_sqlite(value))
+        return (" WHERE " + " AND ".join(clauses)) if clauses else "", parameters
+
     def _aggregate_sql(self, text: str) -> Tuple[str, str]:
         if text == "count":
             return "count", "COUNT(*)"
@@ -627,49 +656,39 @@ class CorpusIndex:
         """Rows as JSON-safe documents (the ``--json`` output form)."""
         return [dict(zip(headers, row)) for row in rows]
 
-    # -- stream summaries --------------------------------------------------
-    def stream_summary(
-        self, key: str,
-    ) -> Tuple[StreamingHistogram, List[JobRow]]:
-        """Run *key*'s stored :func:`summarise_stream` summary, as built."""
-        return self._summaries([key], " WHERE key = ?", (key,))[0]
+    # -- report answers ----------------------------------------------------
+    def answers(
+        self, runs_columns: Sequence[Tuple[str, Any]],
+        answer_columns: Sequence[str], where: Sequence[str] = (),
+    ) -> List[Tuple[Any, ...]]:
+        """Per run matching *where*, in key order: its ``key``, its value of
+        each ``(column, missing)`` of *runs_columns* (*missing* when the
+        corpus has no such column) and its ``summaries`` *answer_columns*.
+        One SELECT over ``runs`` joined to ``summaries``."""
+        selects = ["key"]
+        parameters: List[Any] = []
+        for column, missing in runs_columns:
+            if column in self.columns:
+                selects.append(_quote(column))
+            else:
+                selects.append("?")
+                parameters.append(missing)
+        selects.extend(answer_columns)
+        where_sql, where_parameters = self._where(where)
+        return self.connection.execute(
+            f"SELECT {', '.join(selects)} FROM runs JOIN summaries "
+            f"USING (key){where_sql} ORDER BY key",
+            parameters + where_parameters,
+        ).fetchall()
 
-    def stream_summaries(
-        self, keys: Sequence[str],
-    ) -> List[Tuple[StreamingHistogram, List[JobRow]]]:
-        """:meth:`stream_summary` of each run in *keys*, in that order,
-        reading the ``summaries`` and ``jobs`` tables once each."""
-        return self._summaries(keys, "", ())
-
-    def _summaries(
-        self, keys: Sequence[str], where: str, parameters: Tuple[Any, ...],
-    ) -> List[Tuple[StreamingHistogram, List[JobRow]]]:
-        states = {
-            row[0]: row[1:] for row in self.connection.execute(
-                "SELECT key, count, total, min, max, buckets FROM summaries"
-                + where, parameters)
-        }
-        jobs: Dict[str, List[JobRow]] = {key: [] for key in keys}
-        for row in self.connection.execute(
-            "SELECT key, task, job, release_ns, deadline_ns, completion_ns "
-            "FROM jobs" + where + " ORDER BY rowid", parameters,
-        ):
-            rows = jobs.get(row[0])
-            if rows is not None:
-                rows.append(row[1:])
-        summaries = []
-        for key in keys:
-            state = states.get(key)
-            if state is None:
-                raise AnalyticsError(
-                    f"run {key!r} has no stream summary: its stored stream "
-                    "is not a well-formed sched stream"
-                )
-            count, total, minimum, maximum, buckets = state
-            summaries.append((StreamingHistogram.from_state(
-                count, total, minimum, maximum, json.loads(buckets),
-            ), jobs[key]))
-        return summaries
+    def slice_buckets(self, where: Sequence[str] = ()) -> List[Tuple[int, int]]:
+        """The exec-slice histogram tallies of the runs matching *where*,
+        summed per bucket, as ``(bucket, tally)`` in ascending bucket order."""
+        where_sql, parameters = self._where(where)
+        return self.connection.execute(
+            "SELECT bucket, SUM(tally) FROM buckets JOIN runs USING (key)"
+            f"{where_sql} GROUP BY bucket ORDER BY bucket", parameters,
+        ).fetchall()
 
 
 #: Row-mode columns shown when the user selects nothing explicitly.

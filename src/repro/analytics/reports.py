@@ -10,41 +10,43 @@ Reports:
 * :func:`schedulability_audit` — per run: requested utilization of the
   generated periodic task set (Σ Cᵢ/Tᵢ), the Liu–Layland rate-monotonic
   bound n·(2^(1/n)−1), the measured CPU utilization, and a verdict.
-* :func:`deadline_report` — per run: deadline misses over the job rows the
-  index stores for each generated periodic task (see
+* :func:`deadline_report` — per run: jobs and deadline misses of the
+  generated periodic tasks (see
   :func:`repro.analytics.corpus.summarise_stream`), plus response-time
-  percentiles from a :class:`~repro.obs.sinks.StreamingHistogram`.
+  percentiles.
 * :func:`latency_report` — per run and aggregate: execution-slice duration
-  percentiles, from the per-run histogram state the index stores.
+  percentiles.
 * :func:`family_report` — per family: run counts and metric means, with
   optional delta columns against a baseline family (regression tables).
 
-The stream-derived reports read what ``repro index build`` summarised from
-each verified stored stream; they make no store lookup and decode no
-stream.  Runs without a generated periodic task set have no job rows and
-are left out of the deadline report.
+``repro index build`` computes each run's answers once, from one parse of
+its task documents and one pass over its verified stored stream, into the
+index's ``summaries`` rows.  The audit, deadline and latency reports are
+each one SELECT over ``runs`` (for ``--where``, name and kernel) joined to
+those rows, plus rounding: they parse no task document, rebuild no per-run
+histogram and decode no stream.  The one other read is the latency
+aggregate, a SQL ``GROUP BY`` over the ``buckets`` rows of the selected
+runs.  Runs without a generated periodic task set are left out of the
+deadline report.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analytics.corpus import AnalyticsError, CorpusIndex, periodic_tasks
+from repro.analytics.corpus import AnalyticsError, CorpusIndex
 from repro.obs.sinks import StreamingHistogram
 
+#: The ``runs`` columns each report row names its run by, with the value
+#: a corpus without the column reads.
+_RUN_COLUMNS = (("spec.name", ""), ("spec.kernel", ""))
 
-# ----------------------------------------------------------------------
-# Shared row access
-# ----------------------------------------------------------------------
-def _select_rows(
-    index: CorpusIndex, columns: Sequence[str], where: Sequence[str],
-) -> List[Dict[str, Any]]:
-    """Index rows as documents, only the columns that exist in the corpus."""
-    present = [c for c in columns if c in index.columns]
-    if "key" not in present:
-        present = ["key"] + present
-    headers, rows = index.query(select=present, where=where)
-    return index.documents(headers, rows)
+
+def _no_summary(key: str) -> AnalyticsError:
+    return AnalyticsError(
+        f"run {key!r} has no stream summary: its stored stream "
+        "is not a well-formed sched stream"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -61,19 +63,15 @@ def schedulability_audit(
     index: CorpusIndex, where: Sequence[str] = (),
 ) -> List[Dict[str, Any]]:
     """Per-run schedulability audit rows, sorted by run key."""
-    rows = _select_rows(
-        index,
-        ["key", "spec.name", "spec.kernel", "spec.extra.tasks",
-         "metrics.cpu_utilization", "metrics.preemptions"],
-        where,
-    )
     audit: List[Dict[str, Any]] = []
-    for row in rows:
-        periodic = periodic_tasks(row)
-        requested = sum(
-            task["execution_ms"] / task["period_ms"] for task in periodic
-        )
-        bound = rm_bound(len(periodic))
+    for key, name, kernel, measured, periodic, requested in index.answers(
+        _RUN_COLUMNS + (("metrics.cpu_utilization", None),),
+        ("periodic_tasks", "requested_utilization"), where,
+    ):
+        if requested is None:
+            raise AnalyticsError(
+                f"run {key!r} has a periodic task with period_ms 0")
+        bound = rm_bound(periodic)
         if not periodic:
             verdict = "-"
         elif requested > 1.0:
@@ -83,13 +81,13 @@ def schedulability_audit(
         else:
             verdict = "check"
         audit.append({
-            "key": row["key"],
-            "name": row.get("spec.name", ""),
-            "kernel": row.get("spec.kernel", ""),
-            "periodic_tasks": len(periodic),
+            "key": key,
+            "name": name,
+            "kernel": kernel,
+            "periodic_tasks": periodic,
             "requested_utilization": round(requested, 6),
             "rm_bound": round(bound, 6),
-            "measured_utilization": row.get("metrics.cpu_utilization"),
+            "measured_utilization": measured,
             "verdict": verdict,
         })
     return audit
@@ -106,31 +104,26 @@ def deadline_report(
     A job misses when it never completes within the stored horizon or
     completes after its deadline.
     """
-    rows = _select_rows(
-        index, ["key", "spec.name", "spec.kernel", "spec.extra.tasks"], where,
-    )
-    rows = [row for row in rows if periodic_tasks(row)]
-    summaries = index.stream_summaries([row["key"] for row in rows])
     report: List[Dict[str, Any]] = []
-    for row, (_, jobs) in zip(rows, summaries):
-        misses = 0
-        response = StreamingHistogram()
-        for _task, _job, arrival, deadline, completion in jobs:
-            if completion is None or completion > deadline + 1e-9:
-                misses += 1
-            if completion is not None and completion >= arrival:
-                response.add(completion - arrival)
-        jobs_total = len(jobs)
-        summary = response.snapshot()
+    for key, name, kernel, periodic, jobs, misses, p50, p99 in index.answers(
+        _RUN_COLUMNS,
+        ("periodic_tasks", "jobs", "misses", "response_p50_ns",
+         "response_p99_ns"),
+        where,
+    ):
+        if not periodic:
+            continue
+        if jobs is None:
+            raise _no_summary(key)
         report.append({
-            "key": row["key"],
-            "name": row.get("spec.name", ""),
-            "kernel": row.get("spec.kernel", ""),
-            "jobs": jobs_total,
+            "key": key,
+            "name": name,
+            "kernel": kernel,
+            "jobs": jobs,
             "misses": misses,
-            "miss_ratio": round(misses / jobs_total, 6) if jobs_total else 0.0,
-            "response_p50_ms": round(summary["p50"] / 1e6, 6),
-            "response_p99_ms": round(summary["p99"] / 1e6, 6),
+            "miss_ratio": round(misses / jobs, 6) if jobs else 0.0,
+            "response_p50_ms": round(p50 / 1e6, 6),
+            "response_p99_ms": round(p99 / 1e6, 6),
         })
     return report
 
@@ -138,42 +131,55 @@ def deadline_report(
 # ----------------------------------------------------------------------
 # Latency distributions
 # ----------------------------------------------------------------------
+def _slice_percentiles_us(
+    count: int, maximum: Optional[float], p50: float, p90: float, p99: float,
+) -> Dict[str, Any]:
+    return {
+        "slices": count,
+        "p50_us": round(p50 / 1e3, 3),
+        "p90_us": round(p90 / 1e3, 3),
+        "p99_us": round(p99 / 1e3, 3),
+        "max_us": round((0.0 if maximum is None else maximum) / 1e3, 3),
+    }
+
+
 def latency_report(
     index: CorpusIndex, where: Sequence[str] = (),
 ) -> Dict[str, Any]:
     """Execution-slice duration percentiles per run plus an aggregate.
 
-    Each run's :class:`~repro.obs.sinks.StreamingHistogram` comes back from
-    the state the index stores; the per-run histograms merge into one
-    corpus-wide aggregate — O(1) memory however large the sweep.
+    The aggregate is the merge of the selected runs' exec-slice histograms:
+    their counts, totals, extremes and summed bucket tallies — O(buckets)
+    however large the sweep.
     """
-    rows = _select_rows(index, ["key", "spec.name", "spec.kernel"], where)
     runs: List[Dict[str, Any]] = []
-    aggregate = StreamingHistogram()
-    summaries = index.stream_summaries([row["key"] for row in rows])
-    for row, (histogram, _) in zip(rows, summaries):
-        snapshot = histogram.snapshot()
-        aggregate.merge(histogram)
-        runs.append({
-            "key": row["key"],
-            "name": row.get("spec.name", ""),
-            "kernel": row.get("spec.kernel", ""),
-            "slices": int(snapshot["count"]),
-            "p50_us": round(snapshot["p50"] / 1e3, 3),
-            "p90_us": round(snapshot["p90"] / 1e3, 3),
-            "p99_us": round(snapshot["p99"] / 1e3, 3),
-            "max_us": round(snapshot["max"] / 1e3, 3),
-        })
-    overall = aggregate.snapshot()
+    slices = 0
+    total = 0.0
+    extremes: List[float] = []
+    for (key, name, kernel, count, run_total, minimum, maximum,
+         p50, p90, p99) in index.answers(
+        _RUN_COLUMNS,
+        ("slices", "slice_total_ns", "slice_min_ns", "slice_max_ns",
+         "slice_p50_ns", "slice_p90_ns", "slice_p99_ns"),
+        where,
+    ):
+        if count is None:
+            raise _no_summary(key)
+        slices += count
+        total += run_total
+        if count:
+            extremes += (minimum, maximum)
+        runs.append({"key": key, "name": name, "kernel": kernel,
+                     **_slice_percentiles_us(count, maximum, p50, p90, p99)})
+    overall = StreamingHistogram.from_state(
+        slices, total, min(extremes, default=None),
+        max(extremes, default=None), index.slice_buckets(where),
+    ).snapshot()
     return {
         "runs": runs,
-        "aggregate": {
-            "slices": int(overall["count"]),
-            "p50_us": round(overall["p50"] / 1e3, 3),
-            "p90_us": round(overall["p90"] / 1e3, 3),
-            "p99_us": round(overall["p99"] / 1e3, 3),
-            "max_us": round(overall["max"] / 1e3, 3),
-        },
+        "aggregate": _slice_percentiles_us(
+            int(overall["count"]), overall["max"], overall["p50"],
+            overall["p90"], overall["p99"]),
     }
 
 

@@ -644,12 +644,12 @@ def _spec_from_run_args(args: argparse.Namespace) -> Optional[ScenarioSpec]:
         print("error: give exactly one of a scenario name or --spec PATH",
               file=sys.stderr)
         return None
-    if args.spec is not None:
-        spec = load_spec_file(args.spec)
-    else:
-        spec = get_scenario(args.scenario)
-    if args.overrides:
-        spec = spec.with_overrides(parse_overrides(args.overrides)).validate()
+    overrides = parse_overrides(args.overrides) if args.overrides else None
+    if args.spec is None:
+        return get_scenario(args.scenario, overrides)
+    spec = load_spec_file(args.spec)
+    if overrides:
+        spec = spec.with_overrides(overrides).validate()
     return spec
 
 

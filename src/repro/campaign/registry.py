@@ -36,7 +36,9 @@ prints the table; ``examples/energy_profiling.py`` builds
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple,
+)
 
 from repro.campaign.spec import ScenarioSpec, SpecError
 
@@ -64,9 +66,16 @@ def scenario_description(name: str) -> str:
     return _require(name)[0]
 
 
-def get_scenario(name: str) -> ScenarioSpec:
-    """A fresh validated spec for a registered scenario."""
-    return _require(name)[1]().validate()
+def get_scenario(
+    name: str, overrides: Optional[Mapping[str, Any]] = None,
+) -> ScenarioSpec:
+    """A fresh validated spec for a registered scenario, with *overrides*
+    (see :meth:`ScenarioSpec.with_overrides`) applied before its one
+    validation."""
+    spec = _require(name)[1]()
+    if overrides:
+        spec = spec.with_overrides(overrides)
+    return spec.validate()
 
 
 def _require(name: str) -> Tuple[str, Callable[[], ScenarioSpec]]:

@@ -57,7 +57,9 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import repro.campaign.runner as runner  # run_spec looked up per run
 from repro.analytics.telemetry import TelemetryRecorder
@@ -369,9 +371,7 @@ class Sweep:
         here; isolation assigns it.
         """
         crashed: List[Group] = []
-        executor = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=_pool_context())
-        try:
+        with _pool(workers) as executor:
             futures: Dict[Any, Group] = {}
             for at, group in enumerate(groups):
                 try:
@@ -392,8 +392,6 @@ class Sweep:
                     self._dispatch_failure(group, error)
                     continue
                 self._ingest(raws)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
         return crashed
 
     def _dispatch_isolated(self, index: int, spec: ScenarioSpec,
@@ -401,9 +399,7 @@ class Sweep:
         """Run one member in its own pool, after *spent* attempts;
         ``True`` if the pool crashed."""
         group = [(index, spec)]
-        executor = ProcessPoolExecutor(max_workers=1,
-                                       mp_context=_pool_context())
-        try:
+        with _pool(1) as executor:
             future = executor.submit(_execute_payload,
                                      self._payload(group, spent))
             try:
@@ -415,8 +411,6 @@ class Sweep:
                 return False
             self._ingest(raws)
             return False
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
 
     def _dispatch_failure(self, group: Group, error: BaseException) -> None:
         # The group's worker call itself failed (bad payload, unpicklable
@@ -484,6 +478,26 @@ class Sweep:
                     continue
                 return FailureRecord.from_exception(
                     error, result.spec, attempt=attempt, index=index)
+
+
+@contextlib.contextmanager
+def _pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A process pool of *workers*, shut down when the block leaves.
+
+    A block that completes has drained its futures, so the pool is joined:
+    its manager thread and workers are gone before the sweep returns,
+    leaving none for the interpreter's exit hook, whose write to the
+    manager's wakeup pipe races the pipe's close.  A block that raises
+    cancels what is pending and does not wait.
+    """
+    executor = ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=_pool_context())
+    try:
+        yield executor
+    except BaseException:
+        executor.shutdown(wait=False, cancel_futures=True)
+        raise
+    executor.shutdown(wait=True)
 
 
 def _pool_context():

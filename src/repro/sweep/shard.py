@@ -31,7 +31,7 @@ import json
 import os
 import shutil
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.metrics import RunResult, aggregate_metrics
 from repro.grid.errors import GridError
@@ -49,6 +49,11 @@ SHARD_SCHEMA = "repro-grid-shard/1"
 SHARD_DOCUMENT = "shard.json"
 
 _DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE
+
+#: ``member(text, document, key, at)`` decodes the member value at *at*
+#: into ``document[key]`` and returns the index past it.
+Member = Callable[[str, Dict[str, Any], str, int], int]
 
 
 def run_shard(
@@ -118,17 +123,91 @@ def run_shard(
 # ----------------------------------------------------------------------
 # Merge
 # ----------------------------------------------------------------------
+def _decode_value(text: str, document: Dict[str, Any], key: str,
+                  at: int) -> int:
+    document[key], end = _DECODER.raw_decode(text, at)
+    return end
+
+
+def _decode_run_member(text: str, entry: Dict[str, Any], key: str,
+                       at: int) -> int:
+    """A run entry's member; the ``run`` member's text is kept as
+    ``run_text`` when it sits where canonical JSON puts it, right after
+    the entry's ``index`` member."""
+    end = _decode_value(text, entry, key, at)
+    if key == "run" and text.endswith(
+            f'"index":{entry.get("index")},"run":', 0, at):
+        entry["run_text"] = text[at:end]
+    return end
+
+
+def _decode_shard_member(text: str, document: Dict[str, Any], key: str,
+                         at: int) -> int:
+    if key != "runs" or not text.startswith("[", at):
+        return _decode_value(text, document, key, at)
+    runs: List[Any] = []
+    document[key] = runs
+    at = _SPACE.match(text, at + 1).end()
+    if text.startswith("]", at):
+        return at + 1
+    while True:
+        if text.startswith("{", at):
+            entry, at = _decode_object(text, at, _decode_run_member)
+        else:
+            entry, at = _DECODER.raw_decode(text, at)
+        runs.append(entry)
+        at = _SPACE.match(text, at).end()
+        if text.startswith("]", at):
+            return at + 1
+        if not text.startswith(",", at):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
+        at = _SPACE.match(text, at + 1).end()
+
+
+def _decode_object(text: str, at: int,
+                   member: Member) -> Tuple[Dict[str, Any], int]:
+    """The JSON object at ``text[at]``, decoded one member at a time by
+    *member*, and the index past it.  Raises ``json.JSONDecodeError``."""
+    document: Dict[str, Any] = {}
+    at = _SPACE.match(text, at + 1).end()
+    if text.startswith("}", at):
+        return document, at + 1
+    while True:
+        if not text.startswith('"', at):
+            raise json.JSONDecodeError(
+                "Expecting property name enclosed in double quotes", text, at)
+        key, at = _DECODER.raw_decode(text, at)
+        at = _SPACE.match(text, at).end()
+        if not text.startswith(":", at):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, at)
+        at = member(text, document, key, _SPACE.match(text, at + 1).end())
+        at = _SPACE.match(text, at).end()
+        if text.startswith("}", at):
+            return document, at + 1
+        if not text.startswith(",", at):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
+        at = _SPACE.match(text, at + 1).end()
+
+
 def _load_shard_document(shard_dir: str) -> Dict[str, Any]:
     """Read and structurally validate one shard's ``shard.json``.
 
     Each run entry gains ``run_text``, the source text of its ``run``
-    member, which the merge splices into its outputs as it is.
+    member, which the merge splices into its outputs as it is.  The
+    document is decoded member by member, so each run document is decoded
+    once, by the same decode that finds its text.
     """
     path = os.path.join(shard_dir, SHARD_DOCUMENT)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-        document = json.loads(text)
+        at = _SPACE.match(text).end()
+        if text.startswith("{", at):
+            document, at = _decode_object(text, at, _decode_shard_member)
+        else:
+            document, at = _DECODER.raw_decode(text, at)
+        if _SPACE.match(text, at).end() != len(text):
+            raise json.JSONDecodeError("Extra data", text, at)
     except OSError as error:
         raise GridError(f"cannot read shard metrics file {path!r}: {error}") from None
     except json.JSONDecodeError as error:
@@ -148,17 +227,10 @@ def _load_shard_document(shard_dir: str) -> Dict[str, Any]:
         raise GridError(f"shard metrics file {path!r} has malformed runs "
                         f"(expected a list of objects with an integer "
                         f"'index')")
-    # run_shard wrote the document in canonical form, where an entry's
-    # "run" member directly follows its "index" member.
-    cursor = 0
     for entry in runs:
-        marker = f'"index":{entry["index"]},"run":'
-        start = text.find(marker, cursor) + len(marker)
-        if start < len(marker):
+        if "run_text" not in entry:
             raise GridError(f"shard metrics file {path!r} is not canonical "
                             f"JSON (run {entry['index']})")
-        entry["run"], cursor = _DECODER.raw_decode(text, start)
-        entry["run_text"] = text[start:cursor]
     return document
 
 

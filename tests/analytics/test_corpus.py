@@ -325,17 +325,24 @@ class TestSummaries:
         store = ResultStore(str(tmp_path / "cache"))
         run_batch(family_specs[:2], workers=1, store=store)
         build_index(store)
+        # The /2 layout: histogram state and job rows, no report answers.
         connection = sqlite3.connect(default_index_path(store))
         connection.execute("DROP TABLE summaries")
-        connection.execute("DROP TABLE jobs")
+        connection.execute("DROP TABLE buckets")
+        connection.execute(
+            "CREATE TABLE summaries (key TEXT PRIMARY KEY, count INTEGER, "
+            "total REAL, min REAL, max REAL, buckets TEXT)")
+        connection.execute(
+            "CREATE TABLE jobs (key TEXT, task TEXT, job INTEGER, "
+            "release_ns REAL, deadline_ns REAL, completion_ns REAL)")
         connection.execute("UPDATE meta SET value = ? WHERE key = 'schema'",
-                           ("repro-analytics-corpus/1",))
+                           ("repro-analytics-corpus/2",))
         connection.commit()
         connection.close()
 
         status = index_status(store)
         assert status["present"] is True and status["fresh"] is False
-        assert status["schema"] == "repro-analytics-corpus/1"
+        assert status["schema"] == "repro-analytics-corpus/2"
         assert main(["query", "--no-build", "--cache", store.root]) == 2
         assert "is stale" in capsys.readouterr().err
 
@@ -358,11 +365,10 @@ class TestSummaries:
 
         with open_index(store) as index:
             assert index.rebuilt is True
-            deadlines = {row["key"] for row in deadline_report(index)}
-            latency = {row["key"] for row in latency_report(index)["runs"]}
-            histogram, jobs = index.stream_summary(added)
-        assert deadlines == latency == before | {added}
-        assert histogram.count > 0 and jobs
+            jobs = {row["key"]: row["jobs"] for row in deadline_report(index)}
+            latency = {row["key"]: row for row in latency_report(index)["runs"]}
+        assert set(jobs) == set(latency) == before | {added}
+        assert latency[added]["slices"] > 0 and jobs[added] > 0
 
     def test_reports_answer_from_the_index_after_bit_rot(
         self, tmp_path, family_specs, capsys

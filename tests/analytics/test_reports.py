@@ -15,11 +15,12 @@ import json
 import math
 import os
 import pstats
+import shutil
 
 import pytest
 
 import repro.obs.replay as replay_module
-from repro.analytics.corpus import build_index, open_index
+from repro.analytics.corpus import AnalyticsError, build_index, open_index
 from repro.analytics.reports import (
     deadline_report,
     family_report,
@@ -28,6 +29,8 @@ from repro.analytics.reports import (
     schedulability_audit,
 )
 from repro.campaign import get_scenario, run_spec, spec_hash
+from repro.campaign.metrics import RunResult
+from repro.campaign.spec import spec_hash_from_document
 from repro.grid.store import ResultStore
 from repro.obs.bus import Event, canonical_json
 from repro.obs.replay import decode_stored_jsonl
@@ -35,9 +38,10 @@ from repro.obs.sinks import StreamingHistogram
 from repro.sweep.batch import run_batch
 from repro.workload.families import FamilySpec, expand_family
 
+#: Its four members run on all three kernels.
 FAMILY = FamilySpec(
-    name="report-family", count=4, seed=11, duration_ms=30.0,
-    laws=("periodic",),
+    name="report-family", count=4, seed=12, duration_ms=30.0,
+    laws=("periodic",), kernels=("tkernel", "rtkspec1", "rtkspec2"),
 )
 
 #: The registry scenario of the warm corpus: its non-periodic audit row.
@@ -209,9 +213,45 @@ def reference_completions(slices, execution_ns, jobs):
     return completions
 
 
-def reference_deadline_report(index, store):
+def reference_audit(index, where=()):
+    """The audit as derived from each run's task documents at report time."""
     headers, rows = index.query(
-        select=["key", "spec.name", "spec.kernel", "spec.extra.tasks"])
+        select=["key", "spec.name", "spec.kernel", "spec.extra.tasks",
+                "metrics.cpu_utilization"], where=where)
+    audit = []
+    for row in index.documents(headers, rows):
+        periodic = [
+            task for task in json.loads(row["spec.extra.tasks"] or "[]")
+            if task.get("law") == "periodic"
+            and isinstance(task.get("period_ms"), (int, float))
+            and isinstance(task.get("execution_ms"), (int, float))
+        ]
+        requested = sum(task["execution_ms"] / task["period_ms"]
+                        for task in periodic)
+        bound = rm_bound(len(periodic))
+        if not periodic:
+            verdict = "-"
+        elif requested > 1.0:
+            verdict = "overload"
+        elif requested <= bound:
+            verdict = "rm-bound-ok"
+        else:
+            verdict = "check"
+        audit.append({
+            "key": row["key"], "name": row["spec.name"],
+            "kernel": row["spec.kernel"], "periodic_tasks": len(periodic),
+            "requested_utilization": round(requested, 6),
+            "rm_bound": round(bound, 6),
+            "measured_utilization": row["metrics.cpu_utilization"],
+            "verdict": verdict,
+        })
+    return audit
+
+
+def reference_deadline_report(index, store, where=()):
+    headers, rows = index.query(
+        select=["key", "spec.name", "spec.kernel", "spec.extra.tasks"],
+        where=where)
     report = []
     for row in index.documents(headers, rows):
         tasks = [task for task in json.loads(row["spec.extra.tasks"] or "[]")
@@ -244,7 +284,7 @@ def reference_deadline_report(index, store):
     return report
 
 
-def reference_latency_report(index, store):
+def reference_latency_report(index, store, where=()):
     def summary(histogram):
         snapshot = histogram.snapshot()
         return {
@@ -255,7 +295,8 @@ def reference_latency_report(index, store):
             "max_us": round(snapshot["max"] / 1e3, 3),
         }
 
-    headers, rows = index.query(select=["key", "spec.name", "spec.kernel"])
+    headers, rows = index.query(select=["key", "spec.name", "spec.kernel"],
+                                where=where)
     runs, aggregate = [], StreamingHistogram()
     for row in index.documents(headers, rows):
         histogram = StreamingHistogram()
@@ -289,6 +330,10 @@ def calls_of(stats, function, caller_file=None):
                if caller[0] == caller_file)
 
 
+#: Report selections: the whole corpus, one kernel, and the builtin run.
+WHERES = ((), ("spec.kernel=rtkspec2",), ("spec.workload!=generated",))
+
+
 class TestStoredStreamDecode:
     """``index build`` decodes each verified stream once, in bulk; the
     reports then answer from index rows alone, with the answers of the
@@ -304,17 +349,37 @@ class TestStoredStreamDecode:
                 json.loads(line) for line in lines
             ]
 
-    def test_deadline_report_matches_the_per_line_reference(self, warm):
+    def test_the_corpus_covers_every_kernel_and_a_builtin(self, warm):
         with open_index(warm) as index:
-            summarised = canonical_json(deadline_report(index))
-            reference = canonical_json(reference_deadline_report(index, warm))
-        assert summarised == reference
-        assert len(json.loads(reference)) == FAMILY.count
+            audit = schedulability_audit(index)
+        assert {row["kernel"] for row in audit} == {
+            "tkernel", "rtkspec1", "rtkspec2"}
+        assert RTK_PRIORITY.name in {row["name"] for row in audit}
 
-    def test_latency_report_matches_the_per_line_reference(self, warm):
+    @pytest.mark.parametrize("where", WHERES)
+    def test_audit_matches_the_per_line_reference(self, warm, where):
         with open_index(warm) as index:
-            summarised = canonical_json(latency_report(index))
-            reference = canonical_json(reference_latency_report(index, warm))
+            summarised = canonical_json(schedulability_audit(index, where))
+            reference = canonical_json(reference_audit(index, where))
+        assert summarised == reference
+        assert json.loads(reference)
+
+    @pytest.mark.parametrize("where", WHERES)
+    def test_deadline_report_matches_the_per_line_reference(self, warm, where):
+        with open_index(warm) as index:
+            summarised = canonical_json(deadline_report(index, where))
+            reference = canonical_json(
+                reference_deadline_report(index, warm, where))
+        assert summarised == reference
+        if not where:
+            assert len(json.loads(reference)) == FAMILY.count
+
+    @pytest.mark.parametrize("where", WHERES)
+    def test_latency_report_matches_the_per_line_reference(self, warm, where):
+        with open_index(warm) as index:
+            summarised = canonical_json(latency_report(index, where))
+            reference = canonical_json(
+                reference_latency_report(index, warm, where))
         assert summarised == reference
 
     def test_build_reads_and_decodes_each_stream_once(
@@ -363,6 +428,85 @@ class TestStoredStreamDecode:
         monkeypatch.setattr(replay_module, "decode_stored_jsonl", forbidden)
         monkeypatch.setattr(corpus_module, "decode_stored_jsonl", forbidden)
         assert outputs() == before
+
+
+def fabricate(store, name, tasks, events):
+    """File one generated-shaped entry with *events* (no simulation)."""
+    spec = {"name": name, "kernel": "rtkspec2", "workload": "generated",
+            "seed": 0, "duration_ms": 1.0,
+            "extra": {"family": "odd", "tasks": tasks}}
+    store.put(RunResult(spec, {"context_switches": 1}), events)
+    return spec_hash_from_document(spec)
+
+
+#: One periodic task, as a generated family declares it.
+PERIODIC = [{"name": "t0", "law": "periodic", "period_ms": 2.0,
+             "execution_ms": 0.5, "jobs": 2, "priority": 5}]
+
+
+@pytest.fixture(scope="module")
+def malformed(warm, tmp_path_factory):
+    """The warm corpus plus one periodic run whose stored stream is not a
+    well-formed ``sched`` stream (an exec line without ``dur_ms``)."""
+    root = str(tmp_path_factory.mktemp("malformed") / "cache")
+    shutil.copytree(warm.root, root)
+    store = ResultStore(root)
+    key = fabricate(store, "odd/malformed", PERIODIC,
+                    b'{"kind":"exec","t_ms":0.0,"thread":"t0"}\n')
+    return store, key
+
+
+class TestMalformedStream:
+    """A run whose stream has no summary keeps its audit row; the stream
+    reports name it, and answer as the reference without it."""
+
+    def test_audit_matches_the_reference(self, malformed):
+        store, key = malformed
+        with open_index(store) as index:
+            audit = schedulability_audit(index)
+            assert canonical_json(audit) == canonical_json(
+                reference_audit(index))
+        (row,) = [row for row in audit if row["key"] == key]
+        assert row["periodic_tasks"] == 1 and row["verdict"] == "rm-bound-ok"
+
+    @pytest.mark.parametrize("report", [deadline_report, latency_report])
+    def test_stream_reports_name_the_run(self, malformed, report):
+        store, key = malformed
+        with open_index(store) as index:
+            with pytest.raises(AnalyticsError, match=f"run '{key}' has no "
+                               "stream summary"):
+                report(index)
+
+    def test_stream_reports_without_it_match_the_reference(self, malformed):
+        store, _ = malformed
+        where = ("spec.name!=odd/malformed",)
+        with open_index(store) as index:
+            assert canonical_json(deadline_report(index, where)) == \
+                canonical_json(reference_deadline_report(index, store, where))
+            assert canonical_json(latency_report(index, where)) == \
+                canonical_json(reference_latency_report(index, store, where))
+
+    def test_a_zero_period_is_a_one_line_audit_error(self, tmp_path):
+        store = ResultStore(str(tmp_path / "cache"))
+        key = fabricate(store, "odd/zero-period",
+                        [dict(PERIODIC[0], period_ms=0)], b"")
+        with open_index(store) as index:
+            assert index.query(select=["key"])[1] == [(key,)]
+            with pytest.raises(AnalyticsError, match="period_ms 0"):
+                schedulability_audit(index)
+
+
+class TestReportBudget:
+    """Each report is a SELECT over index rows: it parses no task document
+    and decodes no histogram state, however many runs it covers."""
+
+    @pytest.mark.parametrize("report", [
+        schedulability_audit, deadline_report, latency_report])
+    def test_a_report_makes_no_json_loads(self, warm, report):
+        with open_index(warm) as index:
+            for where in ((), (f"spec.name={RTK_PRIORITY.name}",)):
+                stats = profiled(report, index, where)
+                assert calls_of(stats, json.loads) == 0
 
 
 class TestFamilies:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 from collections import Counter
 
 import pytest
@@ -55,6 +56,14 @@ class TestParallelExecution:
         batch = run_batch(specs, workers=2)
         assert [r.metrics["scenario"] for r in batch.results] == \
             [spec.name for spec in specs]
+
+    def test_the_pool_is_joined_when_the_batch_returns(self):
+        from concurrent.futures.process import _ExecutorManagerThread
+
+        batch = run_batch(small_matrix_specs(), workers=2)
+        assert batch.workers == 2
+        assert not [thread for thread in threading.enumerate()
+                    if isinstance(thread, _ExecutorManagerThread)]
 
     def test_workers_capped_by_run_count(self):
         specs = small_matrix_specs()[:1]

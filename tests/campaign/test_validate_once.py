@@ -59,6 +59,13 @@ def test_a_plain_repro_run_validates_once(validations, capsys):
     assert validations == ["quickstart"]
 
 
+def test_a_repro_run_with_overrides_validates_once(validations, capsys):
+    assert main(["run", "quickstart", "--set", "duration_ms=30",
+                 "--set", "seed=4"]) == 0
+    capsys.readouterr()
+    assert validations == ["quickstart"]
+
+
 def test_an_override_of_a_validated_copy_is_validated_again(validations):
     from repro.campaign.spec import ValidatedSpec
 

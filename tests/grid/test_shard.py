@@ -257,3 +257,53 @@ class TestMergeHardening:
     def test_no_shards_rejected(self, tmp_path):
         with pytest.raises(GridError, match="no shard directories"):
             merge_shards([], str(tmp_path / "out"))
+
+    def test_a_pretty_printed_document_is_not_canonical(self, tmp_path):
+        (shard_dir,) = self.make_shards(tmp_path, shards=1)
+        path = os.path.join(shard_dir, "shard.json")
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=1, sort_keys=True)
+        with pytest.raises(GridError, match=r"not canonical JSON \(run 0\)"):
+            merge_shards([shard_dir], str(tmp_path / "out"))
+
+
+class TestMergeDecodes:
+    def test_each_run_document_is_decoded_once(self, tmp_path, monkeypatch):
+        """Every JSON decode the merge makes of a shard document is
+        recorded with its span; exactly one covers each run document."""
+        specs = sweep_specs()
+        dirs = []
+        for index in range(2):
+            dirs.append(str(tmp_path / f"shard{index}"))
+            run_shard(plan_shard(specs, 2, index), dirs[-1])
+        texts = {}
+        for shard_dir in dirs:
+            with open(os.path.join(shard_dir, "shard.json"),
+                      encoding="utf-8") as handle:
+                texts[shard_dir] = handle.read()
+        decodes = []
+        real = json.JSONDecoder.raw_decode
+
+        def recording(self, text, index=0):
+            value, end = real(self, text, index)
+            decodes.append((text, index, end))
+            return value, end
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", recording)
+        merge_shards(dirs, str(tmp_path / "out"))
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", real)
+
+        runs = 0
+        for text in texts.values():
+            for entry in json.loads(text)["runs"]:
+                run_text = json.dumps(entry["run"], sort_keys=True,
+                                      separators=(",", ":"))
+                start = text.index(f'"run":{run_text}') + len('"run":')
+                end = start + len(run_text)
+                covering = [span for span in decodes if span[0] == text
+                            and span[1] <= start and end <= span[2]]
+                assert len(covering) == 1
+                runs += 1
+        assert runs == len(specs)
