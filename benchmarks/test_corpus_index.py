@@ -10,8 +10,9 @@ and report reads only the index.  Three properties are pinned here:
   asserted by poisoning ``Simulator.__init__``.
 * **Exact build budget.**  Per entry, ``build_index`` opens its file
   once and decodes its stream with exactly one bulk
-  ``json.loads`` (four ``json.loads`` in all) — a second stream decode or
-  a per-line decode breaks the count on any host.
+  ``json.loads`` (three ``json.loads`` in all) — a second stream decode,
+  a per-line decode or a second parse of the task set breaks the count on
+  any host.
 * **Exact read budget.**  On an unchanged store, opening the index (its
   freshness check included) and every query and report open no file under
   the store root — a per-query entry read, or a freshness check that
@@ -156,14 +157,14 @@ def test_warm_query_never_constructs_a_simulator(store, monkeypatch):
 
 
 def test_index_build_reads_and_decodes_each_entry_once(store, store_opens):
-    """Per entry: one open of its file and four ``json.loads`` calls —
-    the manifest, the run document's spec member, the task set and one
-    bulk decode of the stream."""
+    """Per entry: one open of its file and three ``json.loads`` calls —
+    the manifest, the run document's spec member (which also yields the
+    task set) and one bulk decode of the stream."""
     loads, stream_loads = _json_loads_calls(build_index, store)
     expected = sorted(os.path.join(key[:2], key) for key, _ in store.entries())
     assert sorted(store_opens) == expected
     assert stream_loads == RUNS
-    assert loads == 4 * RUNS
+    assert loads == 3 * RUNS
     with open_index(store) as index:
         assert len(latency_report(index)["runs"]) == RUNS
         assert sum(row["jobs"] for row in deadline_report(index)) == 4 * RUNS

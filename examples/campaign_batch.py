@@ -96,7 +96,7 @@ def main():
     assert canonical_json(cached.deterministic_document()) == \
         canonical_json(warm.deterministic_document())
     print(f"cached re-run: {cached.cache_hits}/{len(specs)} hits, "
-          f"aggregate byte-identical ({store})")
+          f"aggregate byte-identical ({len(store)} entries in {store.root})")
 
 
 if __name__ == "__main__":

@@ -22,12 +22,12 @@ never open a stored stream or parse a task document:
   latency report's corpus-wide aggregate reads (one SQL ``GROUP BY``).
 
 :func:`summarise_stream` is the one place that reads a stored ``sched``
-stream for analytics, and :func:`periodic_tasks` the one parse of a run's
-task documents; :func:`build_index` makes both once per entry.  It
-verifies each entry through the store's one entry check
-(:meth:`~repro.grid.store.ResultStore.check_entry`) on the bytes the
-walk read from each entry file, and decodes the verified stream once through
-:func:`repro.obs.replay.decode_stored_jsonl`.  A summary is
+stream for analytics, and :func:`periodic_tasks` the one reader of a run's
+task documents, which it takes from the decoded spec; :func:`build_index`
+calls both once per entry.  It verifies each entry through the store's
+one entry check (:meth:`~repro.grid.store.ResultStore.check_entry`) on
+the bytes the walk read from each entry file, and decodes the verified
+stream once through :func:`repro.obs.replay.decode_stored_jsonl`.  A summary is
 O(tasks · jobs + buckets), not O(events).
 
 The index's content tables (``runs``, ``summaries``, ``buckets``, ``meta``)
@@ -191,20 +191,16 @@ def corpus_fingerprint(
 # ----------------------------------------------------------------------
 # Stream summaries
 # ----------------------------------------------------------------------
-def periodic_tasks(row: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """The generated periodic tasks of an index row (``[]`` when none).
+def periodic_tasks(spec: Mapping[str, Any]) -> List[Dict[str, Any]]:
+    """The generated periodic tasks of a decoded spec document (``[]``
+    when none).
 
     A task counts when its ``law`` is ``periodic`` and it declares numeric
     ``period_ms`` and ``execution_ms``; runs without a generated task set
-    (``spec.extra.tasks``) have none.
+    (``extra.tasks``) have none.
     """
-    raw = row.get("spec.extra.tasks")
-    if not isinstance(raw, str) or not raw:
-        return []
-    try:
-        tasks = json.loads(raw)
-    except json.JSONDecodeError:
-        return []
+    extra = spec.get("extra")
+    tasks = extra.get("tasks") if isinstance(extra, dict) else None
     if not isinstance(tasks, list):
         return []
     return [
@@ -321,14 +317,14 @@ def build_index(
     The store is walked exactly once: each entry file is opened and read
     once, and its manifest decoded once (feeding the corpus fingerprint,
     the entry's ``entry_stat`` row and the store's entry check), and the
-    check verifies the bytes the walk read.  Rows come only from entries that check passes, in
-    ascending key order, and are built from what it verified — its
-    decoded metrics member and its spec text into the entry's row, and
-    its ``summaries`` answers from one :func:`periodic_tasks` parse and
-    the :func:`summarise_stream` summary of the event stream.  A verified
-    stream that is not a well-formed ``sched`` stream keeps its row and
-    its audit answers, but its stream answers are NULL; the deadline and
-    latency reports name it.
+    check verifies the bytes the walk read.  Rows come only from entries
+    that check passes, in ascending key order, and are built from what it
+    verified — its decoded metrics member and its spec text, decoded once,
+    into the entry's row, and its ``summaries`` answers from the
+    :func:`periodic_tasks` of that spec and the :func:`summarise_stream`
+    summary of the event stream.  A verified stream that is not a
+    well-formed ``sched`` stream keeps its row and its audit answers, but
+    its stream answers are NULL; the deadline and latency reports name it.
     """
     path = path or default_index_path(store)
 
@@ -349,8 +345,9 @@ def build_index(
         if problems:
             continue
         _, events_blob, metrics, spec_text = verified
+        spec = json.loads(spec_text)
         row: Dict[str, Any] = {"key": key}
-        for knob, value in flatten_knobs(json.loads(spec_text)).items():
+        for knob, value in flatten_knobs(spec).items():
             row[f"spec.{knob}"] = value
         for metric, value in flatten_knobs(metrics).items():
             row[f"metrics.{metric}"] = value
@@ -359,7 +356,7 @@ def build_index(
                 seen.add(column)
                 columns.append(column)
         rows.append(row)
-        periodic = periodic_tasks(row)
+        periodic = periodic_tasks(spec)
         audit = (key, len(periodic), _requested_utilization(periodic))
         try:
             slices, jobs, misses, response = summarise_stream(

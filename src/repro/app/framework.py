@@ -185,6 +185,3 @@ class CoSimulationFramework:
                 ["T1_lcd", "T2_keypad", "T3_ssd", "T4_idle"],
             "application_handlers": ["H1_cyclic", "H2_alarm", "keypad_isr"],
         }
-
-    def __repr__(self) -> str:
-        return f"CoSimulationFramework({self.name!r}, gui={self.config.gui_enabled})"

@@ -102,6 +102,3 @@ class BusDriver:
     def signals(self) -> List[Signal]:
         """The probe-able bus signals (for waveform tracing)."""
         return [self.address_bus, self.data_bus, self.read_strobe, self.write_strobe]
-
-    def __repr__(self) -> str:
-        return f"BusDriver({self.name!r}, accesses={self.access_count})"

@@ -101,6 +101,3 @@ class I8051BFM(SCModule):
             "interrupts_raised": self.intc.raised_count,
             "rtc_ticks": self.rtc.tick_count,
         }
-
-    def __repr__(self) -> str:
-        return f"I8051BFM({self.name!r}, accesses={self.driver.access_count})"

@@ -69,6 +69,3 @@ class InterruptController:
     def _check_line(self, line: int) -> None:
         if not 0 <= line < self.line_count:
             raise ValueError(f"interrupt line {line} outside [0, {self.line_count})")
-
-    def __repr__(self) -> str:
-        return f"InterruptController(pending={self.pending_lines()}, raised={self.raised_count})"

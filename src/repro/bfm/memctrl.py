@@ -96,9 +96,3 @@ class MemoryController:
     def _check_address(self, address: int) -> None:
         if not 0 <= address < XRAM_SIZE:
             raise ValueError(f"XRAM address 0x{address:X} outside 0..0x{XRAM_SIZE:X}")
-
-    def __repr__(self) -> str:
-        return (
-            f"MemoryController(xram={XRAM_SIZE} bytes, "
-            f"reads={self.read_count}, writes={self.write_count})"
-        )

@@ -82,9 +82,6 @@ class LCDDevice:
         for hook in self.update_hooks:
             hook(self)
 
-    def __repr__(self) -> str:
-        return f"LCDDevice({self.columns}x{self.rows}, writes={self.write_count})"
-
 
 class KeypadDevice:
     """A matrix keypad delivering key codes through a FIFO plus an interrupt."""
@@ -125,9 +122,6 @@ class KeypadDevice:
         """Key codes waiting to be read."""
         return list(self._fifo)
 
-    def __repr__(self) -> str:
-        return f"KeypadDevice(pending={len(self._fifo)}, pressed={self.pressed_count})"
-
 
 class SevenSegmentDevice:
     """A bank of seven-segment display digits (the paper's SSD peripheral)."""
@@ -158,6 +152,3 @@ class SevenSegmentDevice:
         for digit in reversed(self.digits):
             number = number * 10 + digit
         return number
-
-    def __repr__(self) -> str:
-        return f"SevenSegmentDevice(digits={self.digits})"

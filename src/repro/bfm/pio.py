@@ -108,6 +108,3 @@ class ParallelIO:
     def _check_port(self, port: int) -> None:
         if not 0 <= port < PORT_COUNT:
             raise ValueError(f"port {port} outside [0, {PORT_COUNT})")
-
-    def __repr__(self) -> str:
-        return f"ParallelIO(ports={PORT_COUNT}, devices={sum(len(d) for d in self._devices.values())})"

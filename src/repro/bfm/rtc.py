@@ -31,6 +31,3 @@ class RealTimeClock:
     def stop(self) -> None:
         """Stop the tick signal (ends a bounded co-simulation cleanly)."""
         self.tick_signal.stop()
-
-    def __repr__(self) -> str:
-        return f"RealTimeClock(resolution={self.resolution.format()}, ticks={self.tick_count})"

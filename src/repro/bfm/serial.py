@@ -86,9 +86,3 @@ class SerialIO:
     def transmitted_text(self) -> str:
         """The transmit log decoded as text (for assertions in tests)."""
         return "".join(chr(b) for b in self.tx_log)
-
-    def __repr__(self) -> str:
-        return (
-            f"SerialIO(sent={self.sent_count}, received={self.received_count}, "
-            f"rx_pending={len(self._rx_fifo)})"
-        )

@@ -81,21 +81,6 @@ class RunResult:
             self._events = list(decode_stored_jsonl(self._events_jsonl))
         return self._events
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunResult):
-            return NotImplemented
-        return (
-            self.spec == other.spec and self.metrics == other.metrics
-            and self.timing == other.timing
-            and self.events_streamed == other.events_streamed
-            and self.cached == other.cached
-            and self.events_jsonl == other.events_jsonl
-        )
-
-    def __repr__(self) -> str:
-        return (f"RunResult(scenario={self.metrics.get('scenario')!r}, "
-                f"cached={self.cached}, events_streamed={self.events_streamed})")
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

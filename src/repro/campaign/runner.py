@@ -29,7 +29,7 @@ only a run that also streams to ``events_stream`` gets a second,
 in-memory sink for the store.  A run that neither collects, streams nor
 fills a store subscribes nothing, so its ``sched`` topic stays disabled.
 
-Extra caller sinks (a :class:`~repro.core.gantt.GanttChart`, ring buffers,
+Extra caller sinks (a :class:`~repro.core.gantt.GanttChart`, event lists,
 counters) ride along via ``sinks=`` and see the same complete stream; they
 are unsubscribed when the run finishes.
 

@@ -447,11 +447,13 @@ def expand_matrix(
     :data:`WORKLOADS`) to the list of values to sweep.  Expansion order is
     the cross product with the matrix's key order as the significance
     order (first key varies slowest), so the run list is deterministic.
-    Each run is validated and, when *derive_seeds* is true, given a per-run
-    seed derived from the base spec's seed and the run index — unless the
-    matrix itself sweeps ``seed``, which then wins.  With no axis and no seed to derive, nothing
-    changes *base*: the run list is ``[base]`` itself, neither copied nor
-    validated again (the sweep engine validates every run it executes).
+    When *derive_seeds* is true each run is given a per-run seed derived
+    from the base spec's seed and the run index — unless the matrix itself
+    sweeps ``seed``, which then wins.  Each run a matrix axis changes is
+    validated.  Without an axis nothing but the derived seed changes
+    *base*, so its copy is not validated again, and with no seed to derive
+    either the run list is ``[base]`` itself (the sweep engine validates
+    every run it executes).
     """
     matrix = dict(matrix or {})
     for key, values in matrix.items():
@@ -471,16 +473,8 @@ def expand_matrix(
         suffix = "-".join(f"{key}={value}" for key, value in overrides.items())
         if suffix:
             spec.name = f"{spec.name}[{suffix}]"
-        specs.append(spec.validate())
+        specs.append(spec.validate() if overrides else spec)
     return specs
-
-
-def expansion_count(matrix: Optional[Mapping[str, Sequence[Any]]]) -> int:
-    """Number of runs :func:`expand_matrix` would produce."""
-    count = 1
-    for values in (matrix or {}).values():
-        count *= max(len(values), 1)
-    return count
 
 
 def parse_matrix_axis(text: str) -> Tuple[str, List[Any]]:

@@ -30,5 +30,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".stack": ("SimStack",),
     ".simapi": ("SimApi", "SimApiError"),
     ".gantt": ("GanttChart", "GanttSegment"),
-    ".scheduler": ("Scheduler", "RoundRobinScheduler", "PriorityScheduler"),
+    ".scheduler": ("RoundRobinScheduler", "PriorityScheduler"),
 })

@@ -19,7 +19,7 @@ module provides:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.sysc.time import SimTime
 
@@ -65,11 +65,6 @@ class TimingModel:
         self.clock_hz = clock_hz
         self.clocks_per_cycle = clocks_per_cycle
 
-    @property
-    def cycle_time(self) -> SimTime:
-        """Duration of one machine cycle."""
-        return SimTime.ns(self.clocks_per_cycle * 1e9 / self.clock_hz)
-
     def time_of(self, cycles: int) -> SimTime:
         """Simulated time consumed by *cycles* machine cycles."""
         if cycles < 0:
@@ -81,9 +76,6 @@ class TimingModel:
         """Number of whole machine cycles in *duration*."""
         duration = SimTime.coerce(duration)
         return int(duration.to_ns() * self.clock_hz / (self.clocks_per_cycle * 1e9))
-
-    def __repr__(self) -> str:
-        return f"TimingModel({self.clock_hz / 1e6:.1f} MHz, {self.clocks_per_cycle} clk/cycle)"
 
 
 class EnergyModel:
@@ -111,12 +103,6 @@ class EnergyModel:
         duration = SimTime.coerce(duration)
         # idle_power_mw [mJ/s] * seconds -> mJ -> nJ
         return self.idle_power_mw * duration.to_sec() * 1e6
-
-    def __repr__(self) -> str:
-        return (
-            f"EnergyModel({self.energy_per_cycle_nj} nJ/cycle, "
-            f"idle {self.idle_power_mw} mW)"
-        )
 
 
 #: Default cycle/energy budgets used when a key has no explicit annotation.
@@ -155,26 +141,6 @@ class AnnotationTable:
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def keys(self) -> Iterable[str]:
-        """All explicitly annotated keys."""
-        return self._entries.keys()
-
-    def items(self) -> Iterable[Tuple[str, TimingAnnotation]]:
-        """All (key, annotation) pairs."""
-        return self._entries.items()
-
-    def merged_with(self, other: "AnnotationTable") -> "AnnotationTable":
-        """Return a new table with *other*'s entries overriding this one's."""
-        merged = dict(self._entries)
-        merged.update(other._entries)
-        return AnnotationTable(merged, default=other.default)
-
-    def __repr__(self) -> str:
-        return f"AnnotationTable({len(self._entries)} entries)"
 
 
 def default_service_call_annotations() -> AnnotationTable:

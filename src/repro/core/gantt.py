@@ -87,15 +87,6 @@ class GanttChart:
         self.markers: List[GanttMarker] = []
 
     # -- recording -------------------------------------------------------------
-    def add_segment(self, segment: GanttSegment) -> None:
-        """Record an execution slice."""
-        if segment.end < segment.start:
-            raise ValueError("segment ends before it starts")
-        self.segments.append(segment)
-
-    def add_marker(self, time: SimTime, thread: str, kind: str) -> None:
-        """Record a point event such as ``dispatch`` or ``preempt``."""
-        self.markers.append(GanttMarker(time, thread, kind))
 
     def handle(self, event) -> None:
         """Bus-sink entry point for ``sched``-topic events."""
@@ -197,6 +188,3 @@ class GanttChart:
         )
         lines.append(f"legend: {legend}")
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"GanttChart({self.name!r}, segments={len(self.segments)}, markers={len(self.markers)})"

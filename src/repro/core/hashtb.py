@@ -4,17 +4,16 @@ Section 4 of the paper: *"The library contains a Thread hash table
 (SIM_HashTB) that keeps a record on every T-THREAD created upon startup and
 gets updated whenever a T-THREAD changes its state."*
 
-The table maps thread identifiers and names to their T-THREADs.  The
-"update on every state change" is the thread's own ``state`` attribute, which
-the table's state queries read live; the time-stamped history of dispatches,
-preemptions and sleeps is the ``sched`` event stream, not a journal here.
+The table maps thread identifiers to their T-THREADs and keeps thread
+names unique.  The "update on every state change" is the thread's own
+``state`` attribute, read live through the table's entries; the
+time-stamped history of dispatches, preemptions and sleeps is the
+``sched`` event stream, not a journal here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, TYPE_CHECKING
-
-from repro.core.events import ThreadState
+from typing import Dict, List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tthread import TThread
@@ -50,42 +49,12 @@ class SimHashTB:
         except KeyError:
             raise KeyError(f"no T-THREAD with id {tid}") from None
 
-    def get_by_name(self, name: str) -> "TThread":
-        """Look up a thread by name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"no T-THREAD named {name!r}") from None
-
     def __contains__(self, tid: int) -> bool:
         return tid in self._by_id
 
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def __iter__(self) -> "Iterator[TThread]":
-        return iter(list(self._by_id.values()))
-
     def all_threads(self) -> "List[TThread]":
         """All registered threads, ordered by identifier."""
         return [self._by_id[tid] for tid in sorted(self._by_id)]
-
-    def threads_in_state(self, state: ThreadState) -> "List[TThread]":
-        """All threads currently in *state*."""
-        return [t for t in self.all_threads() if t.state is state]
-
-    # -- state queries ------------------------------------------------------
-    def running_thread(self) -> "Optional[TThread]":
-        """The unique RUNNING thread, if any."""
-        running = self.threads_in_state(ThreadState.RUNNING)
-        if not running:
-            return None
-        if len(running) > 1:
-            raise RuntimeError(
-                "invariant violated: more than one T-THREAD is RUNNING: "
-                + ", ".join(t.name for t in running)
-            )
-        return running[0]
-
-    def __repr__(self) -> str:
-        return f"SimHashTB({len(self._by_id)} threads)"

@@ -33,8 +33,9 @@ from repro.sysc.time import SimTime
 class Transition:
     """An atomic transition of the T-THREAD Petri net.
 
-    A value: two transitions with equal name, event and context are equal
-    and hash alike, so firings of either share one S̄ entry.
+    Its value is its ``key``: a token keys its accumulators by it, so
+    firings of two transitions with equal name, event and context share
+    one S̄ entry.
     """
 
     __slots__ = ("name", "event", "context", "key")
@@ -43,21 +44,9 @@ class Transition:
         self.name = name
         self.event = event
         self.context = context
-        #: The value as plain strings.  A token keys its accumulators by it:
-        #: hashing it runs in C, where hashing the transition itself is a
-        #: Python-level call (an enum member's hash is one too) per firing.
+        #: The value as plain strings: hashing it runs in C, where an enum
+        #: member's hash is a Python-level call per firing.
         self.key = (name, event._name_, context._name_)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Transition:
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __str__(self) -> str:
-        return f"{self.name}({self.event.symbol}|{self.context.value})"
 
 
 #: The source transition ``To`` associated with the startup event ``Es``.
@@ -178,9 +167,3 @@ class PetriToken:
     def marking(self) -> int:
         """The current marking (place index reached by the token)."""
         return self.place
-
-    def __repr__(self) -> str:
-        return (
-            f"PetriToken({self.owner_name!r}, place={self.place}, "
-            f"CET={self.consumed_execution_time.format()}, CEE={self._cee_nj:.1f} nJ)"
-        )

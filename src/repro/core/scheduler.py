@@ -13,6 +13,9 @@ the paper built to validate SIM_API coverage:
   (priority-based preemptive, FIFO within a priority level, which is the
   μ-ITRON/T-Kernel rule).
 
+SIM_API duck-types its scheduler: both provide ``add_ready``, ``remove``,
+``select_next``, ``pop_next``, ``ready_threads`` and ``should_preempt``.
+
 Fast-core contract (PR 3)
 -------------------------
 
@@ -38,7 +41,6 @@ implementation.
 
 from __future__ import annotations
 
-import abc
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, TYPE_CHECKING
 
@@ -49,47 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PRIORITY_LEVELS = 256
 
 
-class Scheduler(abc.ABC):
-    """Interface the SIM_API library expects from an external scheduler."""
-
-    @abc.abstractmethod
-    def add_ready(self, thread: "TThread") -> None:
-        """Insert *thread* into the ready pool."""
-
-    @abc.abstractmethod
-    def remove(self, thread: "TThread") -> None:
-        """Remove *thread* from the ready pool if present."""
-
-    @abc.abstractmethod
-    def select_next(self) -> "Optional[TThread]":
-        """Return the thread that should run next without removing it."""
-
-    @abc.abstractmethod
-    def pop_next(self) -> "Optional[TThread]":
-        """Remove and return the thread that should run next."""
-
-    @abc.abstractmethod
-    def ready_threads(self) -> "List[TThread]":
-        """All ready threads in scheduling order."""
-
-    def should_preempt(self, current: "Optional[TThread]", candidate: "TThread") -> bool:
-        """Whether *candidate* becoming ready should preempt *current*."""
-        return current is None
-
-    def __contains__(self, thread: "TThread") -> bool:
-        return thread in self.ready_threads()
-
-    def __len__(self) -> int:
-        return len(self.ready_threads())
-
-
-class RoundRobinScheduler(Scheduler):
+class RoundRobinScheduler:
     """FIFO scheduler with explicit rotation (RTK-Spec I).
 
     Threads never preempt each other on readiness; the kernel rotates the
     queue on every time slice by re-inserting the running thread at the tail
-    and popping the head.  A membership set backs ``add_ready``'s dedup and
-    ``__contains__`` so neither scans the queue.
+    and popping the head.  A membership set backs ``add_ready``'s dedup so
+    it does not scan the queue.
     """
 
     def __init__(self):
@@ -123,17 +91,8 @@ class RoundRobinScheduler(Scheduler):
         # Round robin never preempts on readiness; only the time slice rotates.
         return current is None
 
-    def __contains__(self, thread: "TThread") -> bool:
-        return thread in self._members
 
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __repr__(self) -> str:
-        return f"RoundRobinScheduler(ready={len(self._queue)})"
-
-
-class PriorityScheduler(Scheduler):
+class PriorityScheduler:
     """Priority-based preemptive scheduler (RTK-Spec II / RTK-Spec TRON).
 
     Lower numeric priority means higher urgency (μ-ITRON convention, priority
@@ -238,6 +197,3 @@ class PriorityScheduler(Scheduler):
 
     def __len__(self) -> int:
         return len(self._level_of)
-
-    def __repr__(self) -> str:
-        return f"PriorityScheduler(ready={len(self._level_of)})"

@@ -53,7 +53,7 @@ from repro.core.etm import (
 from repro.core.events import ExecutionContext, RunEvent, ThreadKind, ThreadState
 from repro.core.hashtb import SimHashTB
 from repro.core.petri import Transition
-from repro.core.scheduler import PriorityScheduler, Scheduler
+from repro.core.scheduler import PriorityScheduler, RoundRobinScheduler
 from repro.core.stack import SimStack
 from repro.core.tthread import BodyFactory, TThread
 from repro.obs.bus import Shape
@@ -84,13 +84,13 @@ class SimApi:
     def __init__(
         self,
         simulator: Simulator,
-        scheduler: Optional[Scheduler] = None,
+        scheduler: "PriorityScheduler | RoundRobinScheduler | None" = None,
         system_tick: "SimTime | int" = SimTime.ms(1),
     ):
         self.simulator = simulator
-        # Note: schedulers and annotation tables define __len__, so an empty
-        # one is falsy; compare against None explicitly.
-        self.scheduler: Scheduler = scheduler if scheduler is not None else PriorityScheduler()
+        # PriorityScheduler defines __len__, so an empty one is falsy;
+        # compare against None explicitly.
+        self.scheduler = scheduler if scheduler is not None else PriorityScheduler()
         # The scheduler is fixed for the library's lifetime, so head-insert
         # support is resolved once here instead of via hasattr per make_ready.
         self._add_ready_first = getattr(self.scheduler, "add_ready_first", None)
@@ -766,10 +766,3 @@ class SimApi:
         if include_idle:
             total += self.energy_model.idle_energy(self.cpu_idle_time()) * 1e-6
         return total
-
-    def __repr__(self) -> str:
-        running = self.running.name if self.running else None
-        return (
-            f"SimApi(threads={len(self.hashtb)}, running={running!r}, "
-            f"tick={self.system_tick.format()})"
-        )

@@ -82,16 +82,3 @@ class SimStack(Generic[T]):
     def current_handler(self) -> Optional[T]:
         """The handler currently executing, if any."""
         return self._frames[-1].handler if self._frames else None
-
-    def frames(self) -> List[StackFrame[T]]:
-        """A copy of the frames from outermost to innermost."""
-        return list(self._frames)
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def __bool__(self) -> bool:
-        return bool(self._frames)
-
-    def __repr__(self) -> str:
-        return f"SimStack(depth={len(self._frames)}, max_observed={self.max_observed_depth})"

@@ -126,7 +126,7 @@ class TThread:
     # State management (only SimApi and the kernel model should call these)
     # ------------------------------------------------------------------
     def set_state(self, new_state: ThreadState) -> None:
-        """Change state; SIM_HashTB's state queries read it live."""
+        """Change state; readers read it live, nothing journals it."""
         self.state = new_state
 
     def grant_cpu(self, resume_event: RunEvent) -> None:
@@ -207,9 +207,3 @@ class TThread:
         while not self._cpu_granted:
             yield self._run_wait
         return self._pending_resume_event
-
-    def __repr__(self) -> str:
-        return (
-            f"TThread({self.name!r}, id={self.tid}, prio={self.priority}, "
-            f"kind={self.kind.value}, state={self.state.value})"
-        )

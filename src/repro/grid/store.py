@@ -610,6 +610,3 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self.entries())
-
-    def __repr__(self) -> str:
-        return f"ResultStore({self.root!r}, entries={len(self)})"

@@ -22,7 +22,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".sinks": (
         "Sink",
         "ListSink",
-        "RingBufferSink",
         "CounterSink",
         "StreamingHistogram",
         "JsonlStreamSink",

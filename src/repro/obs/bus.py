@@ -10,9 +10,10 @@ Before this module each of those was recorded through a bespoke mechanism
   service layer, BFM drivers, the campaign runner) emit typed events onto
   named *topics*.
 * **Sinks** subscribe to topics and consume the stream as it happens: a
-  bounded ring buffer, a streaming JSONL writer, a streaming VCD writer, the
-  Gantt-chart builder (see :mod:`repro.obs.sinks` and
-  :class:`repro.core.gantt.GanttChart`).
+  streaming JSONL writer, per-kind counters, the Gantt-chart builder and
+  the waveform recorder (see :mod:`repro.obs.sinks`,
+  :class:`repro.core.gantt.GanttChart` and
+  :class:`repro.sysc.trace.TraceFile`).
 
 Topics
 ------
@@ -106,12 +107,6 @@ class Event:
         """JSON-safe dictionary form (see :func:`event_to_dict`)."""
         return event_to_dict(self)
 
-    def __repr__(self) -> str:
-        return (
-            f"Event({self.topic}/{self.kind} @ {self.t_ns}ns, "
-            f"fields={self.fields!r})"
-        )
-
 
 class Shape:
     """All of an event but ``t_ns``, published with :meth:`Topic.emit_shape`
@@ -170,10 +165,6 @@ class Topic:
         self._event_sinks = [
             sink for sink, handler in zip(self._sinks, handlers) if not handler]
 
-    def sink_count(self) -> int:
-        """Number of attached sinks."""
-        return len(self._sinks)
-
     def emit(self, kind: str, t_ns: int, **fields: Any) -> None:
         """Publish one event to every attached sink.
 
@@ -195,9 +186,6 @@ class Topic:
             event = Event(self.name, shape.kind, t_ns, dict(shape.fields))
             for sink in self._event_sinks:
                 sink.handle(event)
-
-    def __repr__(self) -> str:
-        return f"Topic({self.name!r}, sinks={len(self._sinks)}, enabled={self.enabled})"
 
 
 class EventBus:
@@ -234,24 +222,11 @@ class EventBus:
             self._topics[name].attach(sink)
         return sink
 
-    def unsubscribe(self, sink: Any) -> None:
-        """Detach *sink* from every topic it is attached to."""
-        for topic in self._topics.values():
-            topic.detach(sink)
-
     def detach_all(self) -> None:
         """Detach every sink from every topic (simulator teardown)."""
         for topic in self._topics.values():
             for sink in topic._sinks[:]:
                 topic.detach(sink)
-
-    def any_enabled(self) -> bool:
-        """Whether any topic currently has a sink attached."""
-        return any(topic.enabled for topic in self._topics.values())
-
-    def __repr__(self) -> str:
-        active = [t.name for t in self._topics.values() if t.enabled]
-        return f"EventBus(active_topics={active})"
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,8 @@ A sink is any object with a ``handle(event)`` method; subscribing it to an
 may declare a ``topics`` tuple used as the default subscription set, and may
 implement ``close()`` to flush/release resources when the run ends.
 
-Sinks here cover the bounded-memory consumption patterns the campaign layer
-needs:
+Sinks here cover the consumption patterns the campaign layer needs:
 
-* :class:`RingBufferSink` — keep the most recent N events (post-mortem
-  debugging at bounded memory),
 * :class:`ListSink` — keep everything (tests, small interactive runs),
 * :class:`CounterSink` — per-``(topic, kind)`` tallies at O(1) memory,
 * :class:`JsonlStreamSink` — stream JSON Lines to a file/stdout *during*
@@ -31,7 +28,6 @@ import math
 import os
 import stat
 import sys
-from collections import deque
 from typing import (
     Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union,
 )
@@ -61,7 +57,7 @@ def _open_target(target: "Union[str, IO[str]]") -> "Tuple[IO[str], bool]":
 class Sink:
     """Base class for bus sinks (subclassing is optional — duck typing works).
 
-    Every publish hands :meth:`handle` a fresh :class:`Event`, so a sink may
+    Every publish hands ``handle`` a fresh :class:`Event`, so a sink may
     keep the event or its fields dict for as long as it likes.  A sink that
     also defines ``handle_shape(shape, t_ns)`` is handed events of a
     declared shape that way instead (see "Declared shapes" in
@@ -70,9 +66,6 @@ class Sink:
 
     #: Default topics :meth:`EventBus.subscribe` attaches the sink to.
     topics: Optional[Tuple[str, ...]] = None
-
-    def handle(self, event: Event) -> None:
-        raise NotImplementedError
 
     def close(self) -> None:  # pragma: no cover - default no-op
         """Flush and release any resources the sink holds (idempotent)."""
@@ -96,46 +89,6 @@ class ListSink(Sink):
 
     def handle(self, event: Event) -> None:
         self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-class RingBufferSink(Sink):
-    """Keeps the most recent *capacity* events — bounded-memory post-mortems."""
-
-    def __init__(self, capacity: int = 65536, topics: Optional[Sequence[str]] = None):
-        if capacity <= 0:
-            raise ValueError("ring buffer capacity must be positive")
-        if topics is not None:
-            self.topics = tuple(topics)
-        self.capacity = capacity
-        self._buffer: "deque[Event]" = deque(maxlen=capacity)
-        self.seen = 0
-
-    def handle(self, event: Event) -> None:
-        self.seen += 1
-        self._buffer.append(event)
-
-    @property
-    def dropped(self) -> int:
-        """Events that fell off the front of the ring."""
-        return self.seen - len(self._buffer)
-
-    def events(self) -> List[Event]:
-        """The retained events, oldest first."""
-        return list(self._buffer)
-
-    def of_topic(self, topic: str) -> List[Event]:
-        """Retained events of one topic."""
-        return [event for event in self._buffer if event.topic == topic]
-
-    def of_kind(self, kind: str) -> List[Event]:
-        """Retained events of one kind."""
-        return [event for event in self._buffer if event.kind == kind]
-
-    def __len__(self) -> int:
-        return len(self._buffer)
 
 
 class CounterSink(Sink):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, List
 
 from repro.core.events import ThreadKind
-from repro.core.scheduler import Scheduler
+from repro.core.scheduler import PriorityScheduler, RoundRobinScheduler
 from repro.core.simapi import SimApi
 from repro.core.tthread import ThreadExit, TThread
 from repro.sysc.kernel import Simulator
@@ -34,9 +34,6 @@ class RTKTask:
         self.sleeping = False
         self.started = False
 
-    def __repr__(self) -> str:
-        return f"RTKTask(id={self.task_id}, name={self.name!r}, prio={self.priority})"
-
 
 class RTKSpecKernel(SCModule):
     """Base class for the RTK-Spec I / II kernels."""
@@ -47,7 +44,7 @@ class RTKSpecKernel(SCModule):
     def __init__(
         self,
         simulator: Simulator,
-        scheduler: Scheduler,
+        scheduler: "PriorityScheduler | RoundRobinScheduler",
         system_tick: "SimTime | int" = SimTime.ms(1),
         name: str = "rtkspec",
     ):

@@ -131,9 +131,6 @@ class ChaosInjector:
                 continue
             _apply(injection, phase, scenario, index, info)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ChaosInjector(seed={self.seed}, n={len(self.injections)})"
-
 
 def _claim_once(marker: Optional[str]) -> bool:
     """Atomically claim *marker*; ``True`` exactly once per marker path."""

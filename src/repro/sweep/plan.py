@@ -41,9 +41,12 @@ def plan_batch(
     """
     specs: List[ScenarioSpec] = []
     for scenario in scenarios:
-        base = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        if overrides:
-            base = base.with_overrides(overrides).validate()
+        if isinstance(scenario, str):
+            base = get_scenario(scenario, overrides)
+        elif overrides:
+            base = scenario.with_overrides(overrides).validate()
+        else:
+            base = scenario
         specs.extend(expand_matrix(base, matrix, derive_seeds=derive_seeds))
     return specs
 

@@ -66,6 +66,3 @@ class Clock(Signal[bool]):
             return
         self.write(False)
         self._simulator.schedule_callback_ns(self._low_ns, self._go_high)
-
-    def __repr__(self) -> str:
-        return f"Clock({self.name!r}, period={self.period.format()})"

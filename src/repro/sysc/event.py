@@ -56,10 +56,6 @@ class SCEvent:
         if process in self._waiting:
             self._waiting.remove(process)
 
-    def waiter_count(self) -> int:
-        """Number of processes currently waiting on the event."""
-        return len(self._waiting)
-
     # -- notification -----------------------------------------------------
     def notify(self) -> None:
         """Immediate notification: wake waiters in the current evaluation."""
@@ -125,6 +121,3 @@ class SCEvent:
         waiters = self._waiting
         self._waiting = []
         return waiters
-
-    def __repr__(self) -> str:
-        return f"SCEvent({self.name!r}, waiters={len(self._waiting)})"

@@ -240,10 +240,6 @@ class Simulator:
         """Number of timed advances executed so far."""
         return self._advance_count
 
-    def processes(self) -> List[ProcessHandle]:
-        """All registered processes."""
-        return list(self._processes)
-
     def get_process(self, name: str) -> ProcessHandle:
         """Look up a process by name."""
         try:
@@ -753,9 +749,3 @@ class Simulator:
     def pending_activity(self) -> bool:
         """Whether any runnable process or scheduled activity remains."""
         return bool(self._runnable or self._delta_callbacks or self._timed_buckets)
-
-    def __repr__(self) -> str:
-        return (
-            f"Simulator({self.name!r}, now={self.now.format()}, "
-            f"processes={len(self._processes)})"
-        )

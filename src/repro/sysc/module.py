@@ -51,6 +51,3 @@ class SCModule:
     def threads(self) -> List[ProcessHandle]:
         """Processes registered by this module."""
         return list(self._threads)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name!r})"

@@ -146,17 +146,10 @@ class ProcessHandle:
             self.generator = self.factory()
             self._send = self.generator.send
 
-    def is_alive(self) -> bool:
-        """Whether the process has not yet terminated."""
-        return self.state is not ProcessState.TERMINATED
-
     def _mark_terminated(self) -> None:
         self.state = ProcessState.TERMINATED
         self.waiting_on = None
         self.terminated_event.notify_delta()
-
-    def __repr__(self) -> str:
-        return f"ProcessHandle({self.name!r}, state={self.state.value})"
 
 
 def as_sensitivity(events: "Optional[Iterable[SCEvent] | SCEvent]") -> "tuple[SCEvent, ...]":

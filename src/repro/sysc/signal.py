@@ -40,11 +40,6 @@ class Signal(Generic[T]):
         """Current (settled) value of the signal."""
         return self._current
 
-    @property
-    def value(self) -> T:
-        """Alias for :meth:`read`."""
-        return self._current
-
     def write(self, value: T) -> None:
         """Request a new value; applied at the next update phase."""
         self.write_count += 1
@@ -77,6 +72,3 @@ class Signal(Generic[T]):
                 "change", self._simulator._now_ns,
                 signal=self.name, old=old, new=new, _signal=self,
             )
-
-    def __repr__(self) -> str:
-        return f"Signal({self.name!r}, value={self._current!r})"

@@ -87,11 +87,6 @@ class SimTime:
         return cls(int(round(value * 1_000_000_000)))
 
     @classmethod
-    def zero(cls) -> "SimTime":
-        """The zero time."""
-        return cls(0)
-
-    @classmethod
     def coerce(cls, value: "SimTime | int | float") -> "SimTime":
         """Coerce *value* into a :class:`SimTime`.
 
@@ -160,12 +155,6 @@ class SimTime:
         if isinstance(other, (int, float)):
             return self.nanoseconds == other
         return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __lt__(self, other: "SimTime | int | float") -> bool:
         if isinstance(other, SimTime):

@@ -226,6 +226,3 @@ class TraceFile:
         if isinstance(value, int):
             return str(value % 10)
         return "x"
-
-    def __repr__(self) -> str:
-        return f"TraceFile({self.name!r}, signals={len(self._signals)}, records={len(self.records)})"

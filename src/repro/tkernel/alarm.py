@@ -18,12 +18,6 @@ class AlarmHandler(TimeEventHandler):
 
     object_type = "alarm_handler"
 
-    def __repr__(self) -> str:
-        return (
-            f"AlarmHandler(id={self.object_id}, armed={self.active}, "
-            f"activations={self.activation_count})"
-        )
-
 
 class AlarmHandlerManager(TimeEventHandlerManager):
     """Implements the alarm-handler service calls."""

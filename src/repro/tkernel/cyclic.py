@@ -88,12 +88,6 @@ class CyclicHandler(TimeEventHandler):
         self.cycle_time_ms = cyctim
         self.phase_ms = cycphs
 
-    def __repr__(self) -> str:
-        return (
-            f"CyclicHandler(id={self.object_id}, period={self.cycle_time_ms} ms, "
-            f"active={self.active}, activations={self.activation_count})"
-        )
-
 
 class CyclicHandlerManager(TimeEventHandlerManager):
     """Implements the cyclic-handler service calls."""

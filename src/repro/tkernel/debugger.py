@@ -268,6 +268,3 @@ class TKernelDS:
                     f"  activations {row['activations']}"
                 )
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"TKernelDS(kernel={self.kernel.name!r})"

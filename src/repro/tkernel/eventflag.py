@@ -42,12 +42,6 @@ class EventFlag(KernelObject):
         """Whether the TA_WMUL attribute is set."""
         return bool(self.attributes & TA_WMUL)
 
-    def __repr__(self) -> str:
-        return (
-            f"EventFlag(id={self.object_id}, pattern=0x{self.pattern:X}, "
-            f"waiting={len(self.wait_queue)})"
-        )
-
 
 class EventFlagManager:
     """Implements the event-flag service calls."""

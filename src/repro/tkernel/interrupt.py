@@ -34,12 +34,6 @@ class InterruptHandler(KernelObject):
         self.activation_count = 0
         self.enabled = True
 
-    def __repr__(self) -> str:
-        return (
-            f"InterruptHandler(intno={self.intno}, enabled={self.enabled}, "
-            f"activations={self.activation_count})"
-        )
-
 
 class InterruptManager:
     """Implements interrupt definition and dispatch."""
@@ -121,7 +115,3 @@ class InterruptManager:
             )
         self.kernel.api.notify_interrupt(handler.thread)
         return True
-
-    def handler_for(self, intno: int) -> Optional[InterruptHandler]:
-        """The registered handler for *intno*, if any."""
-        return self._handlers.get(intno)

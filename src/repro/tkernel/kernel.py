@@ -468,9 +468,3 @@ class TKernelOS(SCModule):
             "service_call_total": sum(self.service_call_counts.values()),
             "task_count": len(self.tasks.table),
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"TKernelOS(name={self.name!r}, booted={self.booted}, "
-            f"tasks={len(self.tasks.table)}, tick={self.system_tick.format()})"
-        )

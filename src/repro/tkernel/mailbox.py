@@ -55,12 +55,6 @@ class Mailbox(KernelObject):
                 return
         self.messages.append(message)
 
-    def __repr__(self) -> str:
-        return (
-            f"Mailbox(id={self.object_id}, messages={len(self.messages)}, "
-            f"waiting={len(self.wait_queue)})"
-        )
-
 
 class MailboxManager:
     """Implements the mailbox service calls."""

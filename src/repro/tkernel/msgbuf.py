@@ -46,12 +46,6 @@ class MessageBuffer(KernelObject):
         """Bytes still available in the buffer."""
         return self.buffer_size - self.used_bytes
 
-    def __repr__(self) -> str:
-        return (
-            f"MessageBuffer(id={self.object_id}, used={self.used_bytes}/"
-            f"{self.buffer_size}, msgs={len(self.messages)})"
-        )
-
 
 class MessageBufferManager:
     """Implements the message-buffer service calls."""

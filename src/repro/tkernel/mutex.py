@@ -52,10 +52,6 @@ class Mutex(KernelObject):
         self.protocol = ("ceiling" if attributes & TA_CEILING == TA_CEILING
                          else "inherit" if attributes & TA_INHERIT else "fifo")
 
-    def __repr__(self) -> str:
-        owner = self.owner.name if self.owner else None
-        return f"Mutex(id={self.object_id}, owner={owner!r}, waiting={len(self.wait_queue)})"
-
 
 def derived_priority(tcb: "TaskControlBlock") -> int:
     """*tcb*'s current priority under the strict rule (module docstring)."""

@@ -21,7 +21,7 @@ objects only decide *when* an entry is released and with which data.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar, TYPE_CHECKING
 
 from repro.tkernel.errors import E_LIMIT, E_NOEXS
 from repro.tkernel.types import TA_TPRI
@@ -97,9 +97,6 @@ class KernelObject:
         self.attributes = attributes
         self.exinf = exinf
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(id={self.object_id}, name={self.name!r})"
-
 
 class WaitEntry:
     """One task waiting on a kernel object (or in tk_slp_tsk/tk_dly_tsk)."""
@@ -128,12 +125,6 @@ class WaitEntry:
     def priority(self) -> int:
         """Current priority of the waiting task (used by TA_TPRI queues)."""
         return self.tcb.priority
-
-    def __repr__(self) -> str:
-        return (
-            f"WaitEntry(task={self.tcb.name!r}, factor=0x{self.factor:X}, "
-            f"released={self.release_code is not None})"
-        )
 
 
 class WaitQueue:
@@ -190,18 +181,8 @@ class WaitQueue:
         if self.priority_ordered:
             self._entries.sort(key=lambda entry: entry.priority)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-    def __iter__(self) -> Iterator[WaitEntry]:
-        return iter(self._entries)
-
-    def __repr__(self) -> str:
-        return f"WaitQueue({len(self._entries)} waiting, " \
-               f"{'TPRI' if self.priority_ordered else 'TFIFO'})"
 
 
 T = TypeVar("T", bound=KernelObject)

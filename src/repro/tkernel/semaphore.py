@@ -24,12 +24,6 @@ class Semaphore(KernelObject):
         self.max_count = maxsem
         self.wait_queue = WaitQueue(attributes)
 
-    def __repr__(self) -> str:
-        return (
-            f"Semaphore(id={self.object_id}, count={self.count}/{self.max_count}, "
-            f"waiting={len(self.wait_queue)})"
-        )
-
 
 class SemaphoreManager:
     """Implements the semaphore service calls."""

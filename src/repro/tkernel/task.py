@@ -110,12 +110,6 @@ class TaskControlBlock:
         """Readable name of :meth:`current_state`."""
         return task_state_name(self.current_state(running_thread))
 
-    def __repr__(self) -> str:
-        return (
-            f"TaskControlBlock(id={self.tskid}, name={self.name!r}, "
-            f"pri={self.priority}, state={task_state_name(self.state)})"
-        )
-
 
 class TaskManager:
     """Implements the task-management service calls."""

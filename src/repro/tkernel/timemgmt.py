@@ -91,17 +91,6 @@ class TimeManager:
         if handle is not None:
             handle.cancel()
 
-    def pending_count(self) -> int:
-        """Number of scheduled, not-yet-fired, not-cancelled actions."""
-        return sum(1 for _, _, h in self._queue if not h.cancelled and not h.fired)
-
-    def next_due(self) -> Optional[SimTime]:
-        """Due time of the earliest pending action."""
-        for due_ns, _, handle in sorted(self._queue):
-            if not handle.cancelled and not handle.fired:
-                return SimTime(due_ns)
-        return None
-
     # -- tick processing -----------------------------------------------------
     def advance_tick(self) -> None:
         """Advance operation time by one tick (called by the tick handler)."""
@@ -121,9 +110,3 @@ class TimeManager:
             self.processed_count += 1
             handle.action()
         return fired
-
-    def __repr__(self) -> str:
-        return (
-            f"TimeManager(tick={self.tick.format()}, "
-            f"pending={self.pending_count()}, systime={self.get_system_time()} ms)"
-        )

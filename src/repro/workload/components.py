@@ -150,24 +150,16 @@ class ScenarioBuild:
 class Workload:
     """Base class of the workload component: what the software does.
 
-    Subclasses implement :meth:`resolve` (the declarative parameter view
-    behind ``repro describe``) and :meth:`build` (the wiring).  The
-    kernels a workload runs on and the knobs it reads are its row of
-    :data:`repro.campaign.spec.WORKLOADS`, checked by ``validate``.
-    Components hold no state, so one instance serves every run.
+    Subclasses implement ``resolve(spec)``, the fully-resolved JSON-safe
+    workload parameters behind ``repro describe``, and ``build(spec,
+    simulator)``, which wires the workload, its platform and its kernel
+    onto *simulator* and returns a :class:`ScenarioBuild`.  The caller owns
+    the simulator, so sinks it subscribes on ``simulator.obs`` beforehand
+    see every event the build emits.  The kernels a workload runs on and
+    the knobs it reads are its row of :data:`repro.campaign.spec.WORKLOADS`,
+    checked by ``validate``.  Components hold no state, so one instance
+    serves every run.
     """
-
-    def resolve(self, spec: ScenarioSpec) -> Dict[str, Any]:
-        """The fully-resolved workload parameters of *spec*, JSON-safe."""
-        raise NotImplementedError
-
-    def build(self, spec: ScenarioSpec, simulator: Simulator) -> ScenarioBuild:
-        """Wire the workload, its platform and its kernel onto *simulator*.
-
-        The caller owns the simulator, so sinks it subscribes on
-        ``simulator.obs`` beforehand see every event the build emits.
-        """
-        raise NotImplementedError
 
 
 def compose(spec: ScenarioSpec) -> Workload:

@@ -29,6 +29,7 @@ from repro.analytics.corpus import (
     index_status,
     open_index,
     parse_filter,
+    periodic_tasks,
 )
 from repro.analytics.reports import deadline_report, latency_report
 from repro.campaign.cli import main
@@ -444,6 +445,24 @@ class TestQueries:
     def test_limit_caps_rows(self, index):
         headers, rows = index.query(select=["key"], limit=2)
         assert len(rows) == 2
+
+
+class TestPeriodicTasks:
+    def test_reads_the_task_list_of_a_decoded_spec(self):
+        periodic = {"law": "periodic", "period_ms": 10, "execution_ms": 2.5}
+        spec = {"extra": {"tasks": [
+            periodic,
+            {"law": "sporadic", "period_ms": 10, "execution_ms": 1},
+            {"law": "periodic", "period_ms": "10", "execution_ms": 1},
+        ]}}
+        assert periodic_tasks(spec) == [periodic]
+
+    @pytest.mark.parametrize("spec", [
+        {}, {"extra": None}, {"extra": {}}, {"extra": {"tasks": "[]"}},
+        {"extra": {"tasks": {"law": "periodic"}}},
+    ], ids=["no-extra", "null-extra", "no-tasks", "string", "object"])
+    def test_a_spec_without_a_task_list_has_none(self, spec):
+        assert periodic_tasks(spec) == []
 
 
 class TestParseFilter:

@@ -6,7 +6,6 @@ from repro.campaign import ScenarioSpec, SpecError, derive_seed, expand_matrix
 from repro.campaign.spec import (
     coerce_value,
     spec_hash,
-    expansion_count,
     parse_matrix_axis,
     parse_overrides,
 )
@@ -169,13 +168,27 @@ class TestMatrixExpansion:
         with pytest.raises(SpecError):
             expand_matrix(base, {"duration_ms": [10, -5]})
 
+    def test_only_copies_an_axis_changes_are_validated_again(
+            self, monkeypatch):
+        base = ScenarioSpec(name="m").validate()
+        validated = []
+        real = ScenarioSpec.validate
+
+        def counting(spec):
+            validated.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "validate", counting)
+        [copy] = expand_matrix(base)
+        assert copy is not base and copy.seed == derive_seed(0, 0, "m")
+        assert expand_matrix(base, derive_seeds=False) == [base]
+        assert validated == []
+        expand_matrix(base, {"seed": [1, 2]})
+        assert validated == ["m[seed=1]", "m[seed=2]"]
+
     def test_empty_axis_rejected(self):
         with pytest.raises(SpecError, match="non-empty"):
             expand_matrix(ScenarioSpec(name="m"), {"seed": []})
-
-    def test_expansion_count(self):
-        assert expansion_count(None) == 1
-        assert expansion_count({"a": [1, 2], "b": [1, 2, 3]}) == 6
 
 
 class TestCliParsing:

@@ -75,3 +75,11 @@ def test_an_override_of_a_validated_copy_is_validated_again(validations):
     assert type(changed) is ScenarioSpec
     with pytest.raises(SpecError):
         run_spec(changed)
+
+
+def test_planning_a_named_scenario_with_overrides_validates_once(validations):
+    from repro.sweep.plan import plan_batch
+
+    specs = plan_batch(["rtk-priority"], overrides={"duration_ms": 30.0})
+    assert [spec.duration_ms for spec in specs] == [30.0]
+    assert validations == ["rtk-priority"]

@@ -37,7 +37,7 @@ class TestTimingAnnotation:
 class TestTimingModel:
     def test_default_8051_cycle_is_one_microsecond(self):
         model = TimingModel()
-        assert model.cycle_time == SimTime.us(1)
+        assert model.time_of(1) == SimTime.us(1)
         assert model.time_of(1000) == SimTime.ms(1)
 
     def test_cycles_roundtrip(self):
@@ -98,13 +98,6 @@ class TestAnnotationTable:
         table.lookup("a")
         table.lookup("a")
         assert table.lookups["a"] == 2
-
-    def test_merged_with_overrides(self):
-        base = AnnotationTable({"x": TimingAnnotation(1)})
-        override = AnnotationTable({"x": TimingAnnotation(9), "y": TimingAnnotation(2)})
-        merged = base.merged_with(override)
-        assert merged.lookup("x").cycles == 9
-        assert merged.lookup("y").cycles == 2
 
     def test_default_service_annotations_cover_core_services(self):
         table = default_service_call_annotations()

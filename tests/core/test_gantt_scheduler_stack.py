@@ -1,6 +1,8 @@
 """Unit tests for the Gantt chart, schedulers, SIM_Stack, SIM_HashTB and the
 kernel timer queue."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +15,9 @@ from repro.core import (
     RoundRobinScheduler,
     SimApi,
     SimStack,
-    ThreadState,
 )
 from repro.core.events import ExecutionContext
+from repro.core.gantt import GanttMarker
 from repro.sysc import SimTime, Simulator
 from repro.tkernel.timemgmt import TimeManager
 
@@ -33,46 +35,40 @@ def make_threads(count, priorities=None):
 class TestGanttChart:
     def test_busy_time_and_energy_per_thread(self):
         chart = GanttChart()
-        chart.add_segment(GanttSegment("a", SimTime.ms(0), SimTime.ms(2),
-                                       ExecutionContext.TASK, 10.0))
-        chart.add_segment(GanttSegment("a", SimTime.ms(5), SimTime.ms(6),
-                                       ExecutionContext.BFM_ACCESS, 5.0))
-        chart.add_segment(GanttSegment("b", SimTime.ms(2), SimTime.ms(5),
-                                       ExecutionContext.TASK, 7.0))
+        chart.segments.append(GanttSegment("a", SimTime.ms(0), SimTime.ms(2),
+                                           ExecutionContext.TASK, 10.0))
+        chart.segments.append(GanttSegment("a", SimTime.ms(5), SimTime.ms(6),
+                                           ExecutionContext.BFM_ACCESS, 5.0))
+        chart.segments.append(GanttSegment("b", SimTime.ms(2), SimTime.ms(5),
+                                           ExecutionContext.TASK, 7.0))
         assert sum(s.duration.to_ns() for s in chart.segments_of("a")) == \
             SimTime.ms(3).to_ns()
         assert chart.energy_of("a") == pytest.approx(15.0)
         assert chart.threads() == ["a", "b"]
         assert chart.end_time() == SimTime.ms(6)
 
-    def test_invalid_segment_rejected(self):
-        chart = GanttChart()
-        with pytest.raises(ValueError):
-            chart.add_segment(GanttSegment("a", SimTime.ms(2), SimTime.ms(1),
-                                           ExecutionContext.TASK))
-
     def test_overlap_detection(self):
         chart = GanttChart()
-        chart.add_segment(GanttSegment("a", SimTime.ms(0), SimTime.ms(3),
-                                       ExecutionContext.TASK))
-        chart.add_segment(GanttSegment("b", SimTime.ms(2), SimTime.ms(4),
-                                       ExecutionContext.TASK))
+        chart.segments.append(GanttSegment("a", SimTime.ms(0), SimTime.ms(3),
+                                           ExecutionContext.TASK))
+        chart.segments.append(GanttSegment("b", SimTime.ms(2), SimTime.ms(4),
+                                           ExecutionContext.TASK))
         assert len(chart.overlapping_segments()) == 1
 
     def test_render_contains_patterns_and_legend(self):
         chart = GanttChart()
-        chart.add_segment(GanttSegment("task", SimTime.ms(0), SimTime.ms(5),
-                                       ExecutionContext.TASK))
-        chart.add_segment(GanttSegment("isr", SimTime.ms(5), SimTime.ms(6),
-                                       ExecutionContext.HANDLER))
+        chart.segments.append(GanttSegment("task", SimTime.ms(0), SimTime.ms(5),
+                                           ExecutionContext.TASK))
+        chart.segments.append(GanttSegment("isr", SimTime.ms(5), SimTime.ms(6),
+                                           ExecutionContext.HANDLER))
         art = chart.render(0, SimTime.ms(10), columns=20)
         assert "#" in art and "H" in art and "legend:" in art
 
     def test_markers_filter_by_kind(self):
         chart = GanttChart()
-        chart.add_marker(SimTime.ms(1), "a", "dispatch")
-        chart.add_marker(SimTime.ms(2), "a", "preempt")
-        chart.add_marker(SimTime.ms(3), "b", "preempt")
+        chart.markers.append(GanttMarker(SimTime.ms(1), "a", "dispatch"))
+        chart.markers.append(GanttMarker(SimTime.ms(2), "a", "preempt"))
+        chart.markers.append(GanttMarker(SimTime.ms(3), "b", "preempt"))
         report = ExecutionTraceReport(chart, 0, SimTime.ms(10))
         assert report.marker_counts("dispatch") == {"a": 1}
         assert report.marker_counts("preempt") == {"a": 1, "b": 1}
@@ -82,9 +78,9 @@ class TestGanttChart:
         chart = GanttChart()
         total = 0
         for start, length in spans:
-            chart.add_segment(GanttSegment("x", SimTime.ms(start),
-                                           SimTime.ms(start + length),
-                                           ExecutionContext.TASK))
+            chart.segments.append(GanttSegment("x", SimTime.ms(start),
+                                               SimTime.ms(start + length),
+                                               ExecutionContext.TASK))
             total += length
         busy = ExecutionTraceReport(chart).time_by_context("x")
         assert busy == ({ExecutionContext.TASK: float(total)} if spans else {})
@@ -197,15 +193,10 @@ class TestSimHashTB:
     def test_lookup_by_id_and_name(self):
         api, threads = make_threads(2)
         assert api.hashtb.get(threads[0].tid) is threads[0]
-        assert api.hashtb.get_by_name("t1") is threads[1]
         with pytest.raises(KeyError):
             api.hashtb.get(999)
-
-    def test_threads_in_state_filter(self):
-        api, threads = make_threads(3)
-        threads[0].set_state(ThreadState.READY)
-        ready = api.hashtb.threads_in_state(ThreadState.READY)
-        assert ready == [threads[0]]
+        with pytest.raises(KeyError, match="name 't1'"):
+            api.hashtb.register(SimpleNamespace(tid=999, name="t1"))
 
     def test_unregister(self):
         api, threads = make_threads(1)
@@ -231,7 +222,6 @@ class TestTimeManager:
         manager.cancel(handle)
         manager.process_due(SimTime.ms(10))
         assert fired == []
-        assert manager.pending_count() == 0
 
     def test_system_time_offset(self):
         manager = TimeManager()

@@ -278,8 +278,8 @@ class TestKeyBudgetMemo:
             yield from api.sim_wait_key("app:unknown")
             api.annotations.annotate("app:unknown", 300)
             yield from api.sim_wait_key("app:unknown")
-            api.annotations = api.annotations.merged_with(AnnotationTable(
-                {"app:unknown": TimingAnnotation(500)}))
+            api.annotations = AnnotationTable(
+                {"app:unknown": TimingAnnotation(500)})
             yield from api.sim_wait_key("app:unknown")
             yield from api.sim_wait_key("app:unknown")
 

@@ -297,10 +297,10 @@ class TestDeclaredShapes:
         keeper = bus.subscribe(_Keeper(), ("sched",))
         shape = _marker_shape()
         topic.emit_shape(shape, 1_000)
-        bus.unsubscribe(sink)
+        topic.detach(sink)
         sink.close()
         topic.emit_shape(shape, 2_000)
-        bus.unsubscribe(keeper)
+        topic.detach(keeper)
         assert not topic.enabled
         topic.emit_shape(shape, 3_000)
         assert [event.t_ns for event in keeper.events] == [1_000, 2_000]

@@ -127,9 +127,42 @@ class TestPoisonQuarantine:
                           policy=ResiliencePolicy(keep_going=False))
         assert caught.value.record.index == 1
 
+    def test_a_spec_that_fails_validation_quarantines_alone(self):
+        specs = _family(3)
+        specs[1] = ScenarioSpec(name="invalid", workload="quickstart",
+                                duration_ms=-1.0)
+        batch = run_batch(specs, workers=1, policy=ResiliencePolicy())
+        assert batch.indices == [0, 2]
+        assert batch.outcomes[1]["outcome"] == OUTCOME_FAILED
+        [record] = batch.quarantined
+        assert (record.index, record.phase, record.exception,
+                record.attempt) == (1, "validate", "SpecError", 1)
+
     def test_empty_batch_is_a_spec_error(self):
         with pytest.raises(SpecError):
             run_batch([], policy=ResiliencePolicy())
+
+
+def _failing_payload(payload):
+    raise ValueError("the worker call failed")
+
+
+class TestDispatchFailure:
+    def test_a_failed_worker_call_quarantines_its_group(self, monkeypatch):
+        """A pooled group whose worker call raises (anything but a broken
+        pool) quarantines every member in the ``dispatch`` phase."""
+        import repro.sweep.engine as engine
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(engine, "_execute_payload", _failing_payload)
+        batch = run_batch(_family(4), workers=2, policy=ResiliencePolicy())
+        assert batch.results == []
+        assert [outcome["outcome"] for outcome in batch.outcomes] == \
+            [OUTCOME_FAILED] * 4
+        assert sorted(record.index for record in batch.quarantined) == \
+            [0, 1, 2, 3]
+        assert {(record.phase, record.exception)
+                for record in batch.quarantined} == {("dispatch", "ValueError")}
 
 
 class TestBuildAttribution:

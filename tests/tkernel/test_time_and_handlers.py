@@ -211,7 +211,8 @@ class TestInterrupts:
         isr_times = [t for name, t in log if name == "isr"]
         assert len(isr_times) == 2
         assert 8.0 <= isr_times[0] <= 10.0
-        handler = kernel.interrupts.handler_for(3)
+        [handler] = kernel.interrupts.all_handlers()
+        assert handler.intno == 3
         assert handler.activation_count == 2
 
     def test_undefined_interrupt_is_spurious(self):
