@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, IO, Iterable, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, IO, Iterable, Iterator, List, Mapping, Union
 
 from repro.grid.errors import GridError
 from repro.obs.bus import canonical_json

@@ -26,8 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.bfm.i8051 import I8051BFM, KEYPAD_PORT, LCD_PORT, SSD_PORT
 from repro.core.events import ExecutionContext
-from repro.sysc.time import SimTime
-from repro.tkernel import TA_WMUL, TMO_FEVR, TWF_CLR, TWF_ORW
+from repro.tkernel import TA_WMUL, TWF_CLR, TWF_ORW
 from repro.tkernel.kernel import TKernelOS
 
 #: Key codes delivered by the keypad widget.

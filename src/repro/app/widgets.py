@@ -18,11 +18,10 @@ equivalents that keep the same state and expose the same measurement hooks:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.bfm.peripherals import KeypadDevice, LCDDevice, SevenSegmentDevice
 from repro.core.simapi import SimApi
-from repro.sysc.time import SimTime
 
 #: The battery assumed by the paper's Fig. 7 widget: 10 watt-hours.
 DEFAULT_BATTERY_WATT_HOURS = 10.0

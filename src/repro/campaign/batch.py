@@ -1,4 +1,4 @@
 """Old import paths of the batch entry points, kept for ``perfbench``."""
 
-from repro.sweep.batch import run_batch  # noqa: F401
-from repro.sweep.outputs import BatchResult  # noqa: F401
+from repro.sweep.batch import run_batch  # re-exported
+from repro.sweep.outputs import BatchResult  # re-exported

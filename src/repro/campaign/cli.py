@@ -647,10 +647,7 @@ def _spec_from_run_args(args: argparse.Namespace) -> Optional[ScenarioSpec]:
     overrides = parse_overrides(args.overrides) if args.overrides else None
     if args.spec is None:
         return get_scenario(args.scenario, overrides)
-    spec = load_spec_file(args.spec)
-    if overrides:
-        spec = spec.with_overrides(overrides).validate()
-    return spec
+    return load_spec_file(args.spec, overrides)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -59,6 +59,10 @@ WORKLOADS = {
         "platform": None}),                # "bare" or "rtc"
 }
 
+#: Each kernel model's task priorities are [1, MAX_PRIORITY]: T-Kernel's
+#: ``MAX_TASK_PRIORITY``, and the RTK-Spec schedulers' ready bitmap.
+MAX_PRIORITY = {"tkernel": 140, "rtkspec1": 255, "rtkspec2": 255}
+
 #: Tags any spec's ``extra`` may carry; no workload reads them.
 LABELS = ("family", "member")
 
@@ -181,14 +185,15 @@ class ScenarioSpec:
         # Plain loops and an exact ``dict`` check: a generator or an ABC
         # check costs Python-level calls on every validated spec.
         priorities_ok = isinstance(self.priorities, (list, tuple))
-        nonpositive = False
+        lowest = MAX_PRIORITY.get(self.kernel)
+        out_of_range = False
         if priorities_ok:
             for priority in self.priorities:
                 if isinstance(priority, bool) or not isinstance(priority, int):
                     priorities_ok = False
                     break
-                if priority < 1:
-                    nonpositive = True
+                if priority < 1 or lowest is not None and priority > lowest:
+                    out_of_range = True
         if not priorities_ok:
             raise SpecError(
                 f"invalid scenario {self.name!r}: priorities must be a list "
@@ -242,8 +247,10 @@ class ScenarioSpec:
                 f"priorities has {len(self.priorities)} entries for "
                 f"{self.task_count} tasks"
             )
-        if nonpositive:
-            problems.append("priorities must be positive")
+        if out_of_range:
+            problems.append(
+                "priorities must be positive" if lowest is None else
+                f"priorities must be in [1, {lowest}] on kernel {self.kernel!r}")
         if problems:
             raise SpecError(
                 f"invalid scenario {self.name!r}: " + "; ".join(problems)
@@ -378,8 +385,9 @@ def spec_hash(spec: "ScenarioSpec") -> str:
 # ----------------------------------------------------------------------
 # Spec documents on disk
 # ----------------------------------------------------------------------
-def load_spec_file(path: str) -> ScenarioSpec:
-    """Load and validate one ``ScenarioSpec`` JSON document from *path*.
+def load_spec_file(path: str, overrides: Optional[Mapping] = None) -> ScenarioSpec:
+    """Load one ``ScenarioSpec`` JSON document from *path*, apply
+    *overrides* (:meth:`ScenarioSpec.with_overrides`) and validate it once.
 
     The file holds the ``to_dict`` form of a spec (a batch metrics file's
     ``spec`` section works verbatim).  Anything that is not a valid spec —
@@ -399,7 +407,8 @@ def load_spec_file(path: str) -> ScenarioSpec:
             f"{type(document).__name__}"
         )
     try:
-        return ScenarioSpec.from_dict(document).validate()
+        spec = ScenarioSpec.from_dict(document)
+        return (spec.with_overrides(overrides) if overrides else spec).validate()
     except SpecError as error:
         raise SpecError(f"spec file {path!r}: {error}") from None
 

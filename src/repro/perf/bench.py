@@ -37,7 +37,7 @@ BENCH_SCHEMA = "repro-bench/2"
 
 #: The PR this checkout's trajectory file belongs to; bumped by each PR that
 #: records a new data point.
-CURRENT_PR = 42
+CURRENT_PR = 46
 
 #: The fixed scenario set every report covers.
 SCENARIOS = (

@@ -13,9 +13,9 @@ and metrics are pinned by ``tests/campaign/test_golden_streams.py``.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.campaign.spec import WORKLOADS, ScenarioSpec, SpecError
+from repro.campaign.spec import MAX_PRIORITY, WORKLOADS, ScenarioSpec, SpecError
 from repro.core.events import ExecutionContext
 from repro.sysc.kernel import Simulator
 from repro.sysc.time import SimTime
@@ -25,8 +25,15 @@ from repro.workload.components import (
     instantiate_kernel,
     platform_kind,
 )
-from repro.workload.tasks import install_rtk_tasks, parse_taskset, \
-    tkernel_user_main
+from repro.workload.tasks import (
+    CyclicDef,
+    TaskPlan,
+    exact_ns,
+    generated_plan,
+    install_rtk_plan,
+    parse_taskset,
+    tkernel_main,
+)
 
 
 def _knob(spec: ScenarioSpec, name: str) -> Any:
@@ -260,8 +267,45 @@ class VideogameWorkload(Workload):
         )
 
 
-class SchedulerComparisonWorkload(Workload):
+class TaskSetWorkload(Workload):
+    """A workload whose software is a job plan, which a subclass's
+    ``plan(spec)`` builds from the spec alone (:class:`TaskPlan` and
+    :class:`CyclicDef` lists) and its kernel API's interpreter runs."""
+
+    #: The counters the interpreter keeps, each from 0.
+    COUNTERS = ("jobs_completed",)
+    #: Whether :meth:`metrics` reads each task's completion time in ms
+    #: (kept on RTK-Spec only).
+    TIMED = False
+
+    def metrics(self, counters: Dict[str, int],
+                completions: Optional[Dict[str, float]]) -> Dict[str, Any]:
+        return dict(counters)
+
+    def build(self, spec: ScenarioSpec, simulator: Simulator) -> ScenarioBuild:
+        platform = platform_kind(spec)
+        plans, cyclics = self.plan(spec)
+        counters = dict.fromkeys(self.COUNTERS, 0)
+        completions: Optional[Dict[str, float]] = {} if self.TIMED else None
+        if spec.kernel == "tkernel":
+            kernel = instantiate_kernel(
+                spec, simulator, user_main=tkernel_main(plans, cyclics, counters),
+                rtc=platform == "rtc")
+        else:
+            kernel = instantiate_kernel(spec, simulator)
+            install_rtk_plan(kernel, plans, counters, completions)
+        return ScenarioBuild(
+            simulator=simulator,
+            api=kernel.api,
+            kernel_statistics=kernel.statistics,
+            workload_metrics=lambda: self.metrics(counters, completions),
+        )
+
+
+class SchedulerComparisonWorkload(TaskSetWorkload):
     """An identical one-shot task set run under the chosen RTK-Spec kernel."""
+
+    TIMED = True
 
     @staticmethod
     def task_set(spec: ScenarioSpec) -> List[Tuple[str, int, float]]:
@@ -296,43 +340,22 @@ class SchedulerComparisonWorkload(Workload):
             ],
         }
 
-    def build(self, spec: ScenarioSpec, simulator: Simulator) -> ScenarioBuild:
-        kernel = instantiate_kernel(spec, simulator)
-        completions: Dict[str, float] = {}
+    def plan(self, spec: ScenarioSpec) -> Tuple[List[TaskPlan], List[CyclicDef]]:
+        return [TaskPlan(name, priority, name, execution_ms, [None])
+                for name, priority, execution_ms in self.task_set(spec)], []
 
-        def make_body(name: str, execution_ms: float):
-            def body():
-                yield from kernel.api.sim_wait(
-                    duration=SimTime.ms(execution_ms), label=name
-                )
-                completions[name] = simulator.now.to_ms()
-
-            return body
-
-        for name, priority, execution_ms in self.task_set(spec):
-            task = kernel.create_task(
-                make_body(name, execution_ms), priority=priority, name=name
-            )
-            kernel.start_task(task)
-
-        def workload_metrics() -> Dict[str, Any]:
-            return {
-                "completions": len(completions),
-                "completion_times_ms": {
-                    name: completions[name] for name in sorted(completions)
-                },
-                "makespan_ms": max(completions.values()) if completions else None,
-            }
-
-        return ScenarioBuild(
-            simulator=simulator,
-            api=kernel.api,
-            kernel_statistics=kernel.statistics,
-            workload_metrics=workload_metrics,
-        )
+    def metrics(self, counters: Dict[str, int],
+                completions: Optional[Dict[str, float]]) -> Dict[str, Any]:
+        return {
+            "completions": len(completions),
+            "completion_times_ms": {
+                name: completions[name] for name in sorted(completions)
+            },
+            "makespan_ms": max(completions.values()) if completions else None,
+        }
 
 
-class SyntheticWorkload(Workload):
+class SyntheticWorkload(TaskSetWorkload):
     """A seeded synthetic periodic task set on any kernel model.
 
     Predates the declarative ``generated`` family and stays for spec-hash
@@ -366,75 +389,16 @@ class SyntheticWorkload(Workload):
             ],
         }
 
-    def build(self, spec: ScenarioSpec, simulator: Simulator) -> ScenarioBuild:
-        params = self.resolve(spec)
-        jobs = params["jobs"]
-        tasks = [
-            (task["name"], task["priority"], task["period_ms"],
-             task["execution_ms"])
-            for task in params["tasks"]
-        ]
-        counters = {"jobs_completed": 0}
-
-        if spec.kernel == "tkernel":
-            def user_main(kernel):
-                api = kernel.api
-
-                def make_body(period_ms: float, execution_ms: float):
-                    def body(stacd, exinf):
-                        for _ in range(jobs):
-                            yield from api.sim_wait(
-                                duration=SimTime.ms(execution_ms), label="job"
-                            )
-                            counters["jobs_completed"] += 1
-                            yield from kernel.tk_dly_tsk(int(period_ms))
-
-                    return body
-
-                for name, priority, period_ms, execution_ms in tasks:
-                    task_id = yield from kernel.tk_cre_tsk(
-                        make_body(period_ms, execution_ms),
-                        itskpri=min(priority, 140),
-                        name=name,
-                    )
-                    yield from kernel.tk_sta_tsk(task_id)
-
-            kernel = instantiate_kernel(spec, simulator, user_main=user_main)
-            return ScenarioBuild(
-                simulator=simulator,
-                api=kernel.api,
-                kernel_statistics=kernel.statistics,
-                workload_metrics=lambda: dict(counters),
-                )
-
-        kernel = instantiate_kernel(spec, simulator)
-
-        def make_body(period_ms: float, execution_ms: float):
-            def body():
-                for _ in range(jobs):
-                    yield from kernel.api.sim_wait(
-                        duration=SimTime.ms(execution_ms), label="job"
-                    )
-                    counters["jobs_completed"] += 1
-                    yield from kernel.delay(SimTime.ms(period_ms))
-
-            return body
-
-        for name, priority, period_ms, execution_ms in tasks:
-            task = kernel.create_task(
-                make_body(period_ms, execution_ms), priority=priority, name=name
-            )
-            kernel.start_task(task)
-
-        return ScenarioBuild(
-            simulator=simulator,
-            api=kernel.api,
-            kernel_statistics=kernel.statistics,
-            workload_metrics=lambda: dict(counters),
-        )
+    def plan(self, spec: ScenarioSpec) -> Tuple[List[TaskPlan], List[CyclicDef]]:
+        jobs = _knob(spec, "jobs")
+        gap_of = int if spec.kernel == "tkernel" else exact_ns
+        return [TaskPlan(name, priority, "job", execution_ms,
+                         [gap_of(period_ms)] * jobs)
+                for name, priority, period_ms, execution_ms
+                in self.task_set(spec)], []
 
 
-class GeneratedWorkload(Workload):
+class GeneratedWorkload(TaskSetWorkload):
     """A fully-declarative task-set workload, usually family-generated.
 
     The spec's ``extra['tasks']`` (a list of
@@ -445,30 +409,28 @@ class GeneratedWorkload(Workload):
     :func:`~repro.workload.components.platform_kind`).
     """
 
+    COUNTERS = ("jobs_completed", "service_rounds", "handler_fires")
+
     def _taskset(self, spec: ScenarioSpec):
+        """The parsed task set, checked against *spec*'s kernel: its
+        priority range, and on RTK-Spec no service mix or cyclic handler."""
         tasks, cyclics = parse_taskset(
             spec.extra.get("tasks", ()), spec.extra.get("cyclics", ())
         )
-        if spec.kernel != "tkernel":
-            if cyclics:
+        rtk = spec.kernel != "tkernel"
+        if rtk and cyclics:
+            raise SpecError(
+                f"cyclic handlers need kernel 'tkernel', not {spec.kernel!r}")
+        lowest = MAX_PRIORITY[spec.kernel]
+        for task in tasks:
+            if rtk and task.services:
                 raise SpecError(
-                    "cyclic handlers need kernel 'tkernel', "
-                    f"not {spec.kernel!r}"
-                )
-            for task in tasks:
-                if task.services:
-                    raise SpecError(
-                        f"task {task.name!r} has a service-call mix, which "
-                        f"needs kernel 'tkernel', not {spec.kernel!r}"
-                    )
-                # The tkernel interpreter clamps priorities into the ITRON
-                # range; the minimal RTK API passes them straight to the
-                # scheduler, whose ready bitmap covers [0, 256).
-                if task.priority >= 256:
-                    raise SpecError(
-                        f"task {task.name!r}: priority {task.priority} is "
-                        f"outside the RTK-Spec scheduler range [1, 256)"
-                    )
+                    f"task {task.name!r} has a service-call mix, which "
+                    f"needs kernel 'tkernel', not {spec.kernel!r}")
+            if task.priority > lowest:
+                raise SpecError(
+                    f"task {task.name!r}: priority {task.priority} is outside "
+                    f"kernel {spec.kernel!r}'s range [1, {lowest}]")
         return tasks, cyclics
 
     def resolve(self, spec: ScenarioSpec) -> Dict[str, Any]:
@@ -479,33 +441,9 @@ class GeneratedWorkload(Workload):
             "cyclics": [cyclic.to_dict() for cyclic in cyclics],
         }
 
-    def build(self, spec: ScenarioSpec, simulator: Simulator) -> ScenarioBuild:
-        platform = platform_kind(spec)
+    def plan(self, spec: ScenarioSpec) -> Tuple[List[TaskPlan], List[CyclicDef]]:
         tasks, cyclics = self._taskset(spec)
-        counters = {"jobs_completed": 0, "service_rounds": 0, "handler_fires": 0}
-
-        if spec.kernel == "tkernel":
-            tick_signal = None
-            if platform == "rtc":
-                from repro.bfm.rtc import RealTimeClock
-
-                tick_signal = RealTimeClock(
-                    simulator, resolution=SimTime.ms(spec.tick_ms)).tick_signal
-            kernel = instantiate_kernel(
-                spec, simulator,
-                user_main=tkernel_user_main(tasks, cyclics, spec.seed, counters),
-                tick_signal=tick_signal,
-            )
-        else:
-            kernel = instantiate_kernel(spec, simulator)
-            install_rtk_tasks(kernel, tasks, spec.seed, counters)
-
-        return ScenarioBuild(
-            simulator=simulator,
-            api=kernel.api,
-            kernel_statistics=kernel.statistics,
-            workload_metrics=lambda: dict(counters),
-        )
+        return generated_plan(tasks, spec.seed, spec.kernel), cyclics
 
 
 #: name -> workload component: one stateless instance per workload of

@@ -80,17 +80,22 @@ def instantiate_kernel(
     spec: ScenarioSpec,
     simulator: Simulator,
     user_main: Optional[Callable] = None,
-    tick_signal: Any = None,
+    rtc: bool = False,
 ):
     """Build *spec*'s kernel model on *simulator*.
 
-    ``user_main`` is the T-Kernel initial-task body (tkernel only);
-    ``tick_signal`` hands tick generation to a platform clock.
+    ``user_main`` is the T-Kernel initial-task body (tkernel only); with
+    *rtc* a BFM real-time clock generates the T-Kernel tick.
     """
     system_tick = SimTime.ms(spec.tick_ms)
     if spec.kernel == "tkernel":
         from repro.tkernel import TKernelOS
 
+        tick_signal = None
+        if rtc:
+            from repro.bfm.rtc import RealTimeClock
+
+            tick_signal = RealTimeClock(simulator, resolution=system_tick).tick_signal
         return TKernelOS(
             simulator,
             user_main=user_main,

@@ -29,20 +29,31 @@ takes whole milliseconds).  A ``periodic`` task is therefore a sporadic
 task with minimum inter-release time T = ``period_ms``, and ``jittered``
 likewise with T = ``period_ms`` at the least.
 
-All randomness is per-task ``random.Random`` instances seeded from the
-spec's seed via :func:`~repro.campaign.spec.derive_seed` — no wall clock,
-no global RNG, so the same spec replays the same trajectory on every host.
+Every workload with a task set turns its spec into a *job plan* before
+anything runs: one :class:`TaskPlan` per task, in creation order, with
+its name, priority, exec label and service mix, and per job the compute
+time in int ns and the gap the kernel applies after the job (``None``:
+no sleep).  A plan is a pure function of the spec: gaps are drawn up
+front, in job order, from each task's own ``random.Random`` seeded via
+:func:`~repro.campaign.spec.derive_seed` (no wall clock, no global RNG).
+One interpreter per kernel API runs plans, and nothing else runs a task
+set: :func:`tkernel_main` (RTK-Spec TRON service calls, shared objects,
+cyclic handlers) and :func:`install_rtk_plan` (RTK-Spec I/II
+create/start/delay).  The workloads' own rules, stated once:
 
-Two interpreters install a task set on a live kernel:
-:func:`tkernel_user_main` (RTK-Spec TRON service calls, cyclic handlers)
-and :func:`install_rtk_tasks` (the minimal RTK-Spec I/II task API, compute
-and delays only).
+* ``generated``: a T-Kernel gap is ``max(1, int(round(gap)))`` whole ms;
+  no sleep follows the last job; the label is the task's name.
+* ``synthetic``: a T-Kernel gap is ``int(period_ms)``, truncated; a
+  sleep follows every job, the last too; the label is ``"job"``.
+* ``scheduler_comparison`` (RTK-Spec only): one job, no sleep; the
+  label is the task's name.
+* On RTK-Spec a gap is exact: ``SimTime.ms(gap)`` in int ns.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.spec import SpecError, derive_seed, fields_equal
 from repro.sysc.time import SimTime
@@ -184,14 +195,7 @@ class TaskDef:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TaskDef":
-        if not isinstance(data, Mapping):
-            raise SpecError(f"task must be a JSON object, got {type(data).__name__}")
-        unknown = set(data).difference(cls.FIELDS)
-        if unknown:
-            raise SpecError(f"unknown task fields: {sorted(unknown)}")
-        if "name" not in data:
-            raise SpecError("task needs a 'name'")
-        payload = dict(data)
+        payload = _document(cls, "task", data)
         if "services" in payload:
             services = payload["services"]
             if not isinstance(services, (list, tuple)):
@@ -251,16 +255,20 @@ class CyclicDef:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CyclicDef":
-        if not isinstance(data, Mapping):
-            raise SpecError(
-                f"cyclic must be a JSON object, got {type(data).__name__}"
-            )
-        unknown = set(data).difference(cls.FIELDS)
-        if unknown:
-            raise SpecError(f"unknown cyclic fields: {sorted(unknown)}")
-        if "name" not in data:
-            raise SpecError("cyclic needs a 'name'")
-        return cls(**dict(data)).validate()
+        return cls(**_document(cls, "cyclic", data)).validate()
+
+
+def _document(cls: type, kind: str, data: Any) -> Dict[str, Any]:
+    """A copy of *data*, a *kind* document with a name and only *cls*'s
+    fields."""
+    if not isinstance(data, Mapping):
+        raise SpecError(f"{kind} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data).difference(cls.FIELDS)
+    if unknown:
+        raise SpecError(f"unknown {kind} fields: {sorted(unknown)}")
+    if "name" not in data:
+        raise SpecError(f"{kind} needs a 'name'")
+    return dict(data)
 
 
 def parse_taskset(
@@ -280,48 +288,97 @@ def parse_taskset(
 
 
 # ----------------------------------------------------------------------
-# Interpreters
+# Job plans and their two interpreters
 # ----------------------------------------------------------------------
-def tkernel_user_main(
-    tasks: Sequence[TaskDef],
+class TaskPlan:
+    """One task of a job plan: what an interpreter creates and runs."""
+
+    __slots__ = ("name", "priority", "label", "services", "jobs")
+
+    def __init__(self, name: str, priority: int, label: str,
+                 execution_ms: float, gaps: Sequence[Any],
+                 services: Sequence[str] = ()):
+        self.name = name
+        self.priority = priority
+        #: The ``sim_wait`` label of every job's compute burst.
+        self.label = label
+        self.services = tuple(services)
+        execution_ns = SimTime.ms(execution_ms).nanoseconds
+        #: ``(execution ns, gap)`` per job, one job per gap; the gap is in
+        #: the unit the kernel's sleep takes, ``None`` for no sleep.
+        self.jobs = [(execution_ns, gap) for gap in gaps]
+
+
+def rounded_ms(gap_ms: float) -> int:
+    """A generated gap as ``tk_dly_tsk`` takes it: whole ms, at least 1."""
+    return max(1, int(round(gap_ms)))
+
+
+def exact_ns(gap_ms: float) -> int:
+    """A gap as RTK-Spec's ``delay`` takes it: exact int ns."""
+    return SimTime.ms(gap_ms).nanoseconds
+
+
+def generated_plan(
+    tasks: Sequence[TaskDef], seed: int, kernel: str
+) -> List[TaskPlan]:
+    """The job plan of a generated task set on *kernel*."""
+    gap_of = rounded_ms if kernel == "tkernel" else exact_ns
+    plans = []
+    for index, task in enumerate(tasks):
+        rng = random.Random(derive_seed(seed, index, task.name))
+        gaps: List[Any] = [gap_of(task.gap_ms(rng, job))
+                           for job in range(task.jobs - 1)]
+        plans.append(TaskPlan(task.name, task.priority, task.name,
+                              task.execution_ms, gaps + [None], task.services))
+    return plans
+
+
+def tkernel_main(
+    plans: Sequence[TaskPlan],
     cyclics: Sequence[CyclicDef],
-    seed: int,
     counters: Dict[str, int],
 ):
-    """An RTK-Spec TRON initial task installing the declarative task set.
+    """An RTK-Spec TRON initial task that installs and runs a job plan.
 
-    Shared service objects (one semaphore, one event flag, one mailbox) are
-    created once when any task's mix needs them; every job's mix is a
-    self-balancing round-trip (post before block), so generated task graphs
-    cannot deadlock regardless of priorities or arrival interleavings.
+    It creates the shared semaphore, event flag and mailbox the plan's
+    service mixes use, then creates and starts the tasks in plan order,
+    then the cyclic handlers.  Each mix is a round-trip that posts before
+    it blocks, so no plan can deadlock.  A refused ``tk_cre_*`` or
+    ``tk_sta_*`` fails the run with a ``SpecError`` naming code and object.
     """
     from repro.core.events import ExecutionContext
+    from repro.tkernel.errors import error_name
 
-    need_sem = any("sem" in task.services for task in tasks)
-    need_flag = any("flag" in task.services for task in tasks)
-    need_mbx = any("mbx" in task.services for task in tasks)
+    needs = {service for plan in plans for service in plan.services}
 
     def user_main(kernel):
         api = kernel.api
+
+        def install(service: str, what: str, /, *args, **kwargs):
+            code = yield from getattr(kernel, service)(*args, **kwargs)
+            if code < 0:
+                raise SpecError(
+                    f"cannot install {what!r}: {service} returned "
+                    f"{error_name(code)}")
+            return code
+
         sem_id = flag_id = mbx_id = None
-        if need_sem:
-            sem_id = yield from kernel.tk_cre_sem(
-                isemcnt=0, maxsem=32767, name="wl.sem"
-            )
-        if need_flag:
-            flag_id = yield from kernel.tk_cre_flg(iflgptn=0, name="wl.flg")
-        if need_mbx:
-            mbx_id = yield from kernel.tk_cre_mbx(name="wl.mbx")
+        if "sem" in needs:
+            sem_id = yield from install(
+                "tk_cre_sem", "wl.sem", isemcnt=0, maxsem=32767, name="wl.sem")
+        if "flag" in needs:
+            flag_id = yield from install(
+                "tk_cre_flg", "wl.flg", iflgptn=0, name="wl.flg")
+        if "mbx" in needs:
+            mbx_id = yield from install("tk_cre_mbx", "wl.mbx", name="wl.mbx")
 
-        def make_body(task: TaskDef, task_index: int):
-            rng = random.Random(derive_seed(seed, task_index, task.name))
-
+        def make_body(plan: TaskPlan):
             def body(stacd, exinf):
-                for job in range(task.jobs):
-                    yield from api.sim_wait(
-                        duration=SimTime.ms(task.execution_ms), label=task.name
-                    )
-                    for service in task.services:
+                for job, (execution_ns, gap) in enumerate(plan.jobs):
+                    yield from api.sim_wait(duration=execution_ns,
+                                            label=plan.label)
+                    for service in plan.services:
                         if service == "sem":
                             yield from kernel.tk_sig_sem(sem_id)
                             yield from kernel.tk_wai_sem(sem_id)
@@ -329,23 +386,20 @@ def tkernel_user_main(
                             yield from kernel.tk_set_flg(flag_id, 0b1)
                             yield from kernel.tk_clr_flg(flag_id, 0)
                         elif service == "mbx":
-                            yield from kernel.tk_snd_mbx(mbx_id, (task.name, job))
+                            yield from kernel.tk_snd_mbx(mbx_id, (plan.name, job))
                             yield from kernel.tk_rcv_mbx(mbx_id)
                         counters["service_rounds"] += 1
                     counters["jobs_completed"] += 1
-                    if job + 1 < task.jobs:
-                        gap = max(1, int(round(task.gap_ms(rng, job))))
+                    if gap is not None:
                         yield from kernel.tk_dly_tsk(gap)
 
             return body
 
-        for task_index, task in enumerate(tasks):
-            task_id = yield from kernel.tk_cre_tsk(
-                make_body(task, task_index),
-                itskpri=min(task.priority, 140),
-                name=task.name,
-            )
-            yield from kernel.tk_sta_tsk(task_id)
+        for plan in plans:
+            task_id = yield from install(
+                "tk_cre_tsk", plan.name, make_body(plan),
+                itskpri=plan.priority, name=plan.name)
+            yield from install("tk_sta_tsk", plan.name, task_id)
 
         def make_handler(cyclic: CyclicDef):
             def handler(exinf):
@@ -358,42 +412,38 @@ def tkernel_user_main(
             return handler
 
         for cyclic in cyclics:
-            cyc_id = yield from kernel.tk_cre_cyc(
-                make_handler(cyclic), cyctim=cyclic.period_ms, name=cyclic.name
-            )
-            yield from kernel.tk_sta_cyc(cyc_id)
+            cyc_id = yield from install(
+                "tk_cre_cyc", cyclic.name, make_handler(cyclic),
+                cyctim=cyclic.period_ms, name=cyclic.name)
+            yield from install("tk_sta_cyc", cyclic.name, cyc_id)
 
     return user_main
 
 
-def install_rtk_tasks(
+def install_rtk_plan(
     kernel,
-    tasks: Sequence[TaskDef],
-    seed: int,
+    plans: Sequence[TaskPlan],
     counters: Dict[str, int],
+    completions: Optional[Dict[str, float]] = None,
 ) -> None:
-    """Install the declarative task set through the minimal RTK-Spec API.
+    """Create and start a job plan's tasks on an RTK-Spec I/II kernel,
+    whose API is create/start/delay: no service mix, no cyclic handler.
+    With *completions*, each task's entry is the time in ms at which its
+    latest job finished."""
+    api = kernel.api
 
-    RTK-Spec I/II expose only create/start/delay, so tasks must carry no
-    service-call mix (enforced by the generated workload's resolver).
-    """
-
-    def make_body(task: TaskDef, task_index: int):
-        rng = random.Random(derive_seed(seed, task_index, task.name))
-
+    def make_body(plan: TaskPlan):
         def body():
-            for job in range(task.jobs):
-                yield from kernel.api.sim_wait(
-                    duration=SimTime.ms(task.execution_ms), label=task.name
-                )
+            for execution_ns, gap in plan.jobs:
+                yield from api.sim_wait(duration=execution_ns, label=plan.label)
                 counters["jobs_completed"] += 1
-                if job + 1 < task.jobs:
-                    yield from kernel.delay(SimTime.ms(task.gap_ms(rng, job)))
+                if completions is not None:
+                    completions[plan.name] = kernel.simulator.now.to_ms()
+                if gap is not None:
+                    yield from kernel.delay(gap)
 
         return body
 
-    for task_index, task in enumerate(tasks):
-        handle = kernel.create_task(
-            make_body(task, task_index), priority=task.priority, name=task.name
-        )
-        kernel.start_task(handle)
+    for plan in plans:
+        kernel.start_task(kernel.create_task(
+            make_body(plan), priority=plan.priority, name=plan.name))

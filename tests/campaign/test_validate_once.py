@@ -7,6 +7,8 @@ handed — and none of them checks the same spec a second time in
 ``run_spec`` or ``compose``.
 """
 
+import json
+
 import pytest
 
 from repro.campaign.cli import main
@@ -83,3 +85,15 @@ def test_planning_a_named_scenario_with_overrides_validates_once(validations):
     specs = plan_batch(["rtk-priority"], overrides={"duration_ms": 30.0})
     assert [spec.duration_ms for spec in specs] == [30.0]
     assert validations == ["rtk-priority"]
+
+
+def test_a_repro_run_of_a_spec_file_with_overrides_validates_once(
+        validations, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        ScenarioSpec(name="doc", workload="quickstart").to_dict()))
+    assert main(["run", "--spec", str(path), "--set", "duration_ms=30"]) == 0
+    assert "doc" in capsys.readouterr().out
+    assert validations == ["doc"]
+    assert main(["run", "--spec", str(path), "--set", "duration_ms=-1"]) == 2
+    assert "duration_ms" in capsys.readouterr().err

@@ -75,6 +75,43 @@ def test_family_batch_with_an_unknown_knob_exits_2(tmp_path, capsys,
     assert "(knobs: tasks, cyclics, platform)" in error
 
 
+def test_the_tkernel_priority_bound_is_the_kernel_models():
+    """The spec layer states T-Kernel's range as a literal, because it
+    loads no kernel module; it must be the model's own bound."""
+    from repro.campaign.spec import MAX_PRIORITY
+    from repro.core.scheduler import PRIORITY_LEVELS
+    from repro.tkernel.types import MAX_TASK_PRIORITY, MIN_TASK_PRIORITY
+
+    assert MIN_TASK_PRIORITY == 1
+    assert MAX_PRIORITY["tkernel"] == MAX_TASK_PRIORITY
+    assert MAX_PRIORITY["rtkspec1"] == MAX_PRIORITY["rtkspec2"] \
+        == PRIORITY_LEVELS - 1
+
+
+@pytest.mark.parametrize("kernel, workload, lowest", [
+    ("tkernel", "synthetic", 140),
+    ("rtkspec2", "synthetic", 255),
+    ("rtkspec1", "scheduler_comparison", 255),
+])
+def test_priorities_past_the_kernel_range_are_refused(kernel, workload,
+                                                      lowest):
+    spec = ScenarioSpec(name="x", kernel=kernel, workload=workload,
+                        task_count=2, priorities=[1, lowest])
+    spec.validate()
+    spec.priorities = [1, lowest + 1]
+    with pytest.raises(SpecError, match=rf"priorities must be in "
+                       rf"\[1, {lowest}\] on kernel '{kernel}'"):
+        spec.validate()
+
+
+def test_a_priority_past_the_range_exits_2_before_any_simulation(
+        capsys, no_simulator):
+    assert main(["run", "synthetic-tkernel",
+                 "--set", "priorities=1000,1000,1000,1000"]) == 2
+    [error] = capsys.readouterr().err.strip().splitlines()
+    assert "priorities must be in [1, 140] on kernel 'tkernel'" in error
+
+
 def test_a_workload_without_knobs_says_so():
     spec = ScenarioSpec(name="x", kernel="rtkspec2",
                         workload="scheduler_comparison", extra={"jobs": 3})

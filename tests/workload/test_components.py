@@ -196,17 +196,46 @@ class TestGeneratedWorkload:
         with pytest.raises(SpecError, match="rtc"):
             describe_scenario(spec)
 
-    def test_rtk_priority_outside_scheduler_range_is_a_spec_error(self):
-        from repro.campaign.registry import build_scenario
+    def _refused_past(self, kernel, lowest):
+        """*kernel* builds a task of priority *lowest* and refuses one past
+        it, at build and at describe alike."""
+        from repro.campaign.registry import build_scenario, describe_scenario
 
-        spec = self._spec(kernel="rtkspec2")
-        spec.extra["tasks"] = [{"name": "t0", "priority": 300}]
-        with pytest.raises(SpecError, match=r"\[1, 256\)"):
-            build_scenario(spec)
-        # the tkernel interpreter clamps instead, so the same document runs
-        spec = self._spec()
-        spec.extra["tasks"] = [{"name": "t0", "priority": 300}]
+        spec = self._spec(kernel=kernel)
+        spec.extra["tasks"] = [{"name": "t0", "priority": lowest + 1}]
+        for plan_time in (build_scenario, describe_scenario):
+            with pytest.raises(SpecError, match=rf"\[1, {lowest}\]"):
+                plan_time(spec)
+        spec.extra["tasks"] = [{"name": "t0", "priority": lowest}]
         build_scenario(spec)
+
+    def test_rtk_priority_outside_scheduler_range_is_a_spec_error(self):
+        self._refused_past("rtkspec1", 255)
+        self._refused_past("rtkspec2", 255)
+
+    def test_tkernel_priority_outside_itron_range_is_a_spec_error(self):
+        """No interpreter clamps a priority into T-Kernel's range."""
+        self._refused_past("tkernel", 140)
+
+    def test_a_task_the_kernel_refuses_fails_the_run(self):
+        """T-Kernel holds ``MAX_OBJECTS`` tasks, the init task among them:
+        the 256th task document is refused with ``E_LIMIT``, and the run
+        fails naming the code and the task instead of running 255 of 300
+        tasks.  RTK-Spec II has no such limit and runs all 300."""
+        from repro.campaign.runner import run_spec
+
+        tasks = [{"name": f"t{index}", "execution_ms": 0.1, "jobs": 1}
+                 for index in range(300)]
+        spec = self._spec(task_count=300, duration_ms=400.0,
+                          extra={"tasks": tasks})
+        with pytest.raises(SpecError,
+                           match="'t255': tk_cre_tsk returned E_LIMIT"):
+            run_spec(spec, collect_events=False)
+        spec = self._spec(kernel="rtkspec2", task_count=300,
+                          duration_ms=400.0, extra={"tasks": tasks})
+        result = run_spec(spec, collect_events=False)
+        assert result.metrics["threads"] == 300
+        assert result.metrics["workload_metrics"]["jobs_completed"] == 300
 
     def test_rtk_generated_runs(self):
         from repro.campaign.runner import run_spec
